@@ -7,6 +7,7 @@ field.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -47,21 +48,16 @@ def stirling2(n: int, k: int) -> int:
     """Stirling number of the second kind S(n, k)."""
     if n < 0 or k < 0:
         raise ValueError("stirling2 arguments must be non-negative")
-    key = (n, k)
-    cached = _STIRLING2_CACHE.get(key)
-    if cached is not None:
-        return cached
-    if n == k:
-        val = 1
-    elif k == 0 or k > n:
-        val = 0
-    else:
-        val = k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
-    _STIRLING2_CACHE[key] = val
-    return val
+    return _stirling2_row(n)[k] if k <= n else 0
 
 
-_STIRLING2_CACHE: dict[tuple[int, int], int] = {}
+@functools.lru_cache(maxsize=256)
+def _stirling2_row(n: int) -> tuple[int, ...]:
+    """(S(n, 0), ..., S(n, n)) by S(m, k) = k S(m-1, k) + S(m-1, k-1), iteratively."""
+    row = (1,)
+    for m in range(1, n + 1):
+        row = (0,) + tuple(k * row[k] + row[k - 1] for k in range(1, m)) + (1,)
+    return row
 
 
 def is_nonpositive_int(x) -> bool:

@@ -107,10 +107,6 @@ class Poly:
     def derivative(self) -> "Poly":
         return Poly([k * c for k, c in enumerate(self.coeffs)][1:])
 
-    def shift_mul(self, root) -> "Poly":
-        """Multiply by the linear factor (x + root)."""
-        return self * Poly([root, 1])
-
     def __repr__(self):
         return f"Poly({[str(c) for c in self.coeffs]})"
 
@@ -170,13 +166,17 @@ def expand_in_monomials(terms) -> Poly:
     """Expand a sum of coefficient * shifted-factorial basis terms exactly.
 
     ``terms`` is an iterable of (coefficient, basis_spec) pairs where the basis
-    is ("neg_x", l) for (-x)_l or ("shifted", s, l) for (x + s)_l.  Successive
-    factorials over the same basis family are built incrementally.
+    is ("neg_x", l) for (-x)_l or ("shifted", s, l) for (x + s)_l.  The
+    coefficients are summed per basis spec first, so each distinct basis is
+    expanded once (exact by distributivity); successive factorials over the
+    same basis family are built incrementally.
     """
+    grouped: dict[tuple, Fraction] = {}
+    for coeff, spec in terms:
+        grouped[spec] = grouped.get(spec, 0) + Fraction(coeff)
     total = Poly.zero()
     cache: dict[tuple, Poly] = {}
-    for coeff, spec in terms:
-        coeff = Fraction(coeff)
+    for spec, coeff in grouped.items():
         if coeff == 0:
             continue
         poly = cache.get(spec)

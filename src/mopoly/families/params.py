@@ -72,9 +72,6 @@ class Hahn:
     def p(self) -> int:
         return len(self.alpha)
 
-    def support_max(self) -> int:
-        return self.N
-
     def to_json(self) -> dict:
         return {"family": self.family, "alpha": [rat_to_str(a) for a in self.alpha],
                 "beta": rat_to_str(self.beta), "N": self.N}
@@ -100,9 +97,6 @@ class MeixnerII:
     @property
     def p(self) -> int:
         return len(self.beta)
-
-    def support_max(self) -> int | None:
-        return None
 
     def to_json(self) -> dict:
         return {"family": self.family, "beta": [rat_to_str(b) for b in self.beta],
@@ -130,9 +124,6 @@ class MeixnerI:
     def p(self) -> int:
         return len(self.c)
 
-    def support_max(self) -> int | None:
-        return None
-
     def to_json(self) -> dict:
         return {"family": self.family, "beta": rat_to_str(self.beta0),
                 "c": [rat_to_str(ci) for ci in self.c]}
@@ -159,9 +150,6 @@ class Kravchuk:
     def p(self) -> int:
         return len(self.p_success)
 
-    def support_max(self) -> int:
-        return self.N
-
     def to_json(self) -> dict:
         return {"family": self.family, "pi": [rat_to_str(q) for q in self.p_success],
                 "N": self.N}
@@ -183,9 +171,6 @@ class Charlier:
     @property
     def p(self) -> int:
         return len(self.a)
-
-    def support_max(self) -> int | None:
-        return None
 
     def to_json(self) -> dict:
         return {"family": self.family, "a": [rat_to_str(ai) for ai in self.a]}

@@ -61,22 +61,6 @@ class PrefactorToken:
             return math.exp(-float(self.base))
         return float(1 - self.c) ** float(self.exponent)
 
-    def log_value(self) -> float:
-        if self.kind == "one":
-            return 0.0
-        if self.kind == "exp_neg":
-            return -float(self.base)
-        return float(self.exponent) * math.log1p(-float(self.c))
-
-    def shift_exponent(self, delta) -> "PrefactorToken":
-        """Token with a rational amount added to the power (pow kinds only)."""
-        if self.kind == "one" and Fraction(delta) == 0:
-            return self
-        if self.kind not in ("pow_one_minus_c", "pow_one_minus_ci"):
-            raise ValueError(f"cannot shift exponent of token kind {self.kind!r}")
-        return PrefactorToken(self.kind, exponent=self.exponent + rat(delta),
-                              index=self.index, c=self.c)
-
     def describe(self) -> str:
         if self.kind == "one":
             return "1"
@@ -96,10 +80,6 @@ class PrefactoredPolynomial:
 
     def value(self, x) -> float:
         return self.prefactor.value() * float(self.rational_part(x))
-
-    def exact_value_times(self, scale: Fraction, x) -> Fraction:
-        """scale * rational_part(x); callers supply the token's rational pairing."""
-        return scale * self.rational_part(Fraction(x))
 
     def is_zero(self) -> bool:
         return self.rational_part.is_zero()

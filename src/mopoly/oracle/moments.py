@@ -24,7 +24,7 @@ import mpmath
 
 from ..exact.combinatorics import falling_factorial, pochhammer, stirling2
 from ..families.params import Charlier, FamilyParams, Hahn, Kravchuk, MeixnerI, MeixnerII
-from ..families.weights import weight, weight_mass_token
+from ..families.weights import weight
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,8 @@ def _factorial_moment(params: FamilyParams, i: int, j: int) -> Fraction:
     raise TypeError(f"no factorial-moment closed form for {params!r}")
 
 
-_MOMENT_CACHE: dict = {}
+_MOMENT_CACHE_SIZE = 4096
+_MOMENT_CACHE: dict = {}   # (params, i) -> moments, least recently used first
 
 
 def normalized_moments(params: FamilyParams, i: int, jmax: int) -> MomentTable:
@@ -69,19 +70,18 @@ def normalized_moments(params: FamilyParams, i: int, jmax: int) -> MomentTable:
 
     Tables are cached per (params, i) -- the parameter objects are frozen and
     hashable -- and extended on demand; repeated oracle solves over one
-    parameter draw reuse the same moments.
+    parameter draw reuse the same moments.  The cache keeps the
+    ``_MOMENT_CACHE_SIZE`` most recently used tables.
     """
     if jmax < 0:
         raise ValueError("jmax must be >= 0")
     key = (params, i)
-    cached = _MOMENT_CACHE.get(key)
-    if cached is not None and len(cached) > jmax:
-        return MomentTable(i, tuple(cached[: jmax + 1]))
-    if len(_MOMENT_CACHE) > 4096:
-        _MOMENT_CACHE.clear()
-    hi = max(jmax, 2 * len(cached) if cached else 8)
-    mus = _compute_moments(params, i, hi)
+    mus = _MOMENT_CACHE.pop(key, None)   # re-inserted below as the most recent
+    if mus is None or len(mus) <= jmax:
+        mus = _compute_moments(params, i, max(jmax, 2 * len(mus) if mus else 8))
     _MOMENT_CACHE[key] = mus
+    if len(_MOMENT_CACHE) > _MOMENT_CACHE_SIZE:
+        del _MOMENT_CACHE[next(iter(_MOMENT_CACHE))]
     return MomentTable(i, tuple(mus[: jmax + 1]))
 
 
@@ -166,9 +166,3 @@ def validate_closed_form(params: FamilyParams, i: int, jmax: int,
 
 def _to_mpf(q: Fraction) -> mpmath.mpf:
     return mpmath.mpf(q.numerator) / q.denominator
-
-
-def mass_pairing(params: FamilyParams, i: int) -> Fraction:
-    """Rational factor of the mass token pairing (token * m_0 = this value)."""
-    _, factor = weight_mass_token(params, i)
-    return factor

@@ -12,10 +12,16 @@ quantity rational:
       sum_i sum_x x^j A_hat^{(i)}(x) w_hat_i(x) = delta_{j, |n|-1}
                                               for j <= |n| - 1;
 * oracle_nnrc: the recurrence coefficients as discrete integrals
-      b0(k) = sum_x x B_n(x) A^(I)_{n+e_k}(x),
-      b^j   = sum_x x B_n(x) A^(I)_{n-s_{j-1}}(x),
-  expanded against moment tables (the mass factors cancel between A_hat and
-  w_hat).
+      b0(k) = <x B_n, A_hat_{n+e_k}>,    b^j = <x B_n, A_hat_{n-s_{j-1}}>,
+  <P, A_hat> = sum_i sum_x P(x) A_hat^{(i)}(x) w_hat_i(x) (the mass factors
+  cancel between A_hat and w_hat).
+
+One ``OracleContext`` per parameter draw solves each B_n and A_hat_m once and
+computes each pairing once for all permutations, as the dot product of the
+coefficients of A_hat^{(i)}_m with v_i[r] = sum_j b_j mu_i[j+1+r] (b_j the
+coefficients of B_n, mu_i the moments), so no polynomial product is formed.
+``type2_residual_vanishes`` checks the type II recurrence by evaluation at
+integer nodes, which is exact (see there).
 """
 
 from __future__ import annotations
@@ -79,58 +85,79 @@ def oracle_type1(params: FamilyParams, n: MultiIndex) -> list[Poly]:
     return comps
 
 
-def _type1_or_zero(params: FamilyParams, m: MultiIndex) -> list[Poly]:
-    if m.size == 0:
-        return [Poly.zero()] * params.p
-    return oracle_type1(params, m)
+class OracleContext:
+    """Memo of the oracle solves and recurrence pairings of one parameter draw."""
 
+    def __init__(self, params: FamilyParams):
+        self.params = params
+        self._type2: dict = {}
+        self._type1: dict = {}
+        self._xb_moments: dict = {}
+        self._pairings: dict = {}
 
-def _pair_sum(params: FamilyParams, tables, poly_by_component) -> Fraction:
-    """sum_i sum_x P_i(x) w_hat_i(x) via the moment tables."""
-    total = Fraction(0)
-    for i in range(params.p):
-        total += tables[i].pair(poly_by_component[i].coeffs)
-    return total
+    def type2(self, n) -> Poly:
+        """oracle_type2(params, n), solved once."""
+        key = tuple(n)
+        if key not in self._type2:
+            self._type2[key] = oracle_type2(self.params, MultiIndex.of(key))
+        return self._type2[key]
+
+    def type1(self, m) -> list[Poly]:
+        """oracle_type1(params, m), solved once; the zero components at |m| = 0."""
+        key = tuple(m)
+        if key not in self._type1:
+            self._type1[key] = (oracle_type1(self.params, MultiIndex.of(key)) if sum(key)
+                                else [Poly.zero()] * self.params.p)
+        return self._type1[key]
+
+    def _pairing(self, n: MultiIndex, m: MultiIndex) -> Fraction:
+        """<x B_n, A_hat_m> for a neighbour m of n, one with m_i <= n_i + 1."""
+        key = (n.entries, m.entries)
+        value = self._pairings.get(key)
+        if value is None:
+            value = self._pairings[key] = sum(
+                (a * vr for v, comp in zip(self._xb_vectors(n), self.type1(m))
+                 for a, vr in zip(comp.coeffs, v)), Fraction(0))
+        return value
+
+    def _xb_vectors(self, n: MultiIndex) -> list[list[Fraction]]:
+        """v_i[r] = sum_x x^{r+1} B_n(x) w_hat_i(x) for r = 0..n_i, one list per i."""
+        vectors = self._xb_moments.get(n.entries)
+        if vectors is None:
+            b = self.type2(n).coeffs
+            tables = _moment_tables(self.params, len(b) + max(n.entries))
+            vectors = [[sum((bj * t[j + 1 + r] for j, bj in enumerate(b) if bj), Fraction(0))
+                        for r in range(ni + 1)]
+                       for t, ni in zip(tables, n.entries)]
+            self._xb_moments[n.entries] = vectors
+        return vectors
 
 
 def oracle_nnrc(params: FamilyParams, n: MultiIndex,
                 perm: Permutation | None = None,
-                type1_fn=None) -> RecurrenceCoefficients:
+                context: OracleContext | None = None) -> RecurrenceCoefficients:
     """Recurrence coefficients reconstructed from the discrete integrals.
 
-    ``type1_fn(m) -> list[Poly]`` optionally supplies (cached) oracle type I
-    components; by default they are solved on the fly.
+    ``context`` shares the solves and pairings of one parameter draw between
+    calls; a fresh one is used when none is given.
     """
     n = MultiIndex.of(n)
     if perm is None:
         perm = Permutation.identity(params.p)
-    if type1_fn is None:
-        type1_fn = lambda m: oracle_type1(params, m)
-    b = oracle_type2(params, n)
-    xb = Poly.x() * b
-    jmax = n.size + 1 + max(max(n.entries) + 1, 1)
-    tables = _moment_tables(params, jmax)
-
-    def components(m: MultiIndex):
-        if m.size == 0:
-            return [Poly.zero()] * params.p
-        return type1_fn(m)
-
-    b0 = []
-    for k in range(1, params.p + 1):
-        comps = components(n.add_unit(k))
-        b0.append(_pair_sum(params, tables, [xb * a for a in comps]))
-
+    if context is None:
+        context = OracleContext(params)
+    elif context.params != params:
+        raise ValueError("the oracle context belongs to other parameters")
+    b0 = tuple(context._pairing(n, n.add_unit(k)) for k in range(1, params.p + 1))
     bj = []
     for j in range(1, params.p + 1):
         s_prev, _, _ = step_sets(perm, j - 1)
-        if not n.can_shift([-v for v in s_prev]):
+        down = [-v for v in s_prev]
+        if not n.can_shift(down):
             raise InvalidShiftError(
                 f"n - s_{j-1} = {tuple(a - b for a, b in zip(n, s_prev))} leaves N_0^p")
-        m = n.shifted([-v for v in s_prev])
-        comps = components(m)
-        bj.append(_pair_sum(params, tables, [xb * a for a in comps]))
-    return RecurrenceCoefficients(tuple(b0), tuple(bj), perm)
+        bj.append(context._pairing(n, n.shifted(down)))
+    return RecurrenceCoefficients(b0, tuple(bj), perm)
 
 
 @dataclass(frozen=True)
@@ -155,7 +182,7 @@ def check_biorthogonality(params: FamilyParams, n: MultiIndex, m: MultiIndex) ->
     comps = oracle_type1(params, m)
     jmax = n.size + max(m.entries)
     tables = _moment_tables(params, jmax)
-    value = _pair_sum(params, tables, [b * a for a in comps])
+    value = sum((t.pair((b * a).coeffs) for t, a in zip(tables, comps)), Fraction(0))
     if all(mi <= ni for mi, ni in zip(m, n)):
         expected = Fraction(0)
     elif m.size == n.size + 1:
@@ -167,14 +194,44 @@ def check_biorthogonality(params: FamilyParams, n: MultiIndex, m: MultiIndex) ->
     return BiorthogonalityReport(n.entries, m.entries, value, expected)
 
 
+def type2_residual_vanishes(n: MultiIndex, perm: Permutation, k: int,
+                            coeffs: RecurrenceCoefficients, type2_of,
+                            values: dict) -> bool | None:
+    """Whether x B_n - B_{n+e_k} - b0_n(k) B_n - sum_j b^j_n B_{n-s_j} is zero.
+
+    ``type2_of(entries)`` supplies each B; ``values`` caches their values at
+    the nodes 0, 1, ... by entries, for reuse across one parameter draw.  The
+    residual's degree is below D, the largest coefficient length among x B_n
+    and the shifted B's, so vanishing at 0..D-1 is exactly ``is_zero()``.  A
+    shift n - s_j leaving N_0^p drops its term when b^j_n = 0; otherwise the
+    relation does not apply and the result is None.
+    """
+    terms = [(-1, n.add_unit(k).entries)]
+    for j, bjv in enumerate(coeffs.bj, start=1):
+        down = [-v for v in step_sets(perm, j)[0]]
+        if n.can_shift(down):
+            terms.append((-bjv, n.shifted(down).entries))
+        elif bjv != 0:
+            return None
+    polys = {m: type2_of(m) for m in (n.entries, *(m for _, m in terms))}
+    nodes = max(len(polys[n.entries].coeffs) + 1, *(len(b.coeffs) for b in polys.values()))
+    for m, b in polys.items():
+        cached = values.setdefault(m, [])
+        cached.extend(b(t) for t in range(len(cached), nodes))
+    b0, b_n = coeffs.b0[k - 1], values[n.entries]
+    return all((t - b0) * b_n[t] + sum(c * values[m][t] for c, m in terms) == 0
+               for t in range(nodes))
+
+
 def check_recurrence_identity(params: FamilyParams, n: MultiIndex, perm: Permutation,
                               k: int, which: str = "typeII") -> bool:
     """Exact check of the nearest-neighbor recurrence as a polynomial identity.
 
     ``typeII`` verifies x B_n = B_{n+e_k} + b0_n(k) B_n + sum_j b^j_n B_{n-s_j}
-    with closed-form coefficients and closed-form type II polynomials; a shift
-    below zero is allowed only when its coefficient vanishes exactly (the term
-    is then dropped), otherwise InvalidShiftError.
+    with closed-form coefficients and closed-form type II polynomials, by
+    evaluation (``type2_residual_vanishes``); a shift below zero is allowed
+    only when its coefficient vanishes exactly (the term is then dropped),
+    otherwise InvalidShiftError.
 
     ``typeI`` verifies, for every component i, the printed relation
     x A^{(i)}_n = A^{(i)}_{n-e_k} + b0_{n-e_k}(k) A^{(i)}_n
@@ -184,33 +241,28 @@ def check_recurrence_identity(params: FamilyParams, n: MultiIndex, perm: Permuta
     """
     n = MultiIndex.of(n)
     if which == "typeII":
-        coeffs = nnrc(params, n, perm)
-        residual = Poly.x() * type2(params, n) - type2(params, n.add_unit(k)) \
-            - coeffs.b0[k - 1] * type2(params, n)
-        for j in range(1, params.p + 1):
-            s, _, _ = step_sets(perm, j)
-            bjv = coeffs.bj[j - 1]
-            if not n.can_shift([-v for v in s]):
-                if bjv == 0:
-                    continue
-                raise InvalidShiftError(
-                    f"n - s_{j} leaves N_0^p but its coefficient {bjv} is nonzero")
-            residual = residual - bjv * type2(params, n.shifted([-v for v in s]))
-        return residual.is_zero()
+        ok = type2_residual_vanishes(n, perm, k, nnrc(params, n, perm),
+                                     lambda m: type2(params, MultiIndex(m)), {})
+        if ok is None:
+            raise InvalidShiftError(
+                f"a shift n - s_j of n = {n.entries} leaves N_0^p but its coefficient "
+                "is nonzero")
+        return ok
 
     if which == "typeI":
         if n[k - 1] < 1:
             raise InvalidShiftError(f"n - e_{k} leaves N_0^p")
         n_minus = n.sub_unit(k)
-        a_n = oracle_type1(params, n)
-        a_minus = _type1_or_zero(params, n_minus)
+        context = OracleContext(params)
+        a_n = context.type1(n)
+        a_minus = context.type1(n_minus)
         b0_minus = nnrc(params, n_minus, perm).b0[k - 1]
         shifted_terms = []
         for j in range(1, params.p + 1):
             s_prev, _, _ = step_sets(perm, j - 1)
             s, _, _ = step_sets(perm, j)
             bjv = nnrc(params, n.shifted(s_prev), perm).bj[j - 1]
-            shifted_terms.append((bjv, oracle_type1(params, n.shifted(s))))
+            shifted_terms.append((bjv, context.type1(n.shifted(s))))
         for i in range(params.p):
             residual = Poly.x() * a_n[i] - a_minus[i] - b0_minus * a_n[i]
             for bjv, comps in shifted_terms:

@@ -3,8 +3,15 @@
 Each runner returns a JSON-serializable report with a top-level ``passed``
 flag; the CLI streams the report and exits 0/1 accordingly.  Sweeps are
 reproducible from (seed, sweep spec), and every exact comparison is an exact
-rational equality.  Per-draw caches keep the recurrence-identity checks from
-rebuilding the same type II polynomials at shifted multi-indices.
+rational equality.
+
+The closed-vs-oracle sweep keeps three caches per parameter draw: an
+``OracleContext`` that solves each oracle B_n and A_hat_m and each recurrence
+pairing once for every permutation and shift, the closed-form type II
+polynomials at shifted multi-indices, and their values at the integer nodes.
+The recurrence identity is checked by evaluating its residual at those nodes
+(``type2_residual_vanishes``), which is exact.  Every closed form is still
+computed as printed and compared for every (n, i, permutation).
 """
 
 from __future__ import annotations
@@ -21,9 +28,8 @@ from .analytic.limits import (
 )
 from .analytic.rodrigues import rodrigues_type1
 from .errors import InvalidShiftError
-from .exact.indices import MultiIndex, Permutation, all_permutations, multi_indices, step_sets
+from .exact.indices import MultiIndex, Permutation, all_permutations, multi_indices
 from .exact.identities import IDENTITY_NAMES, verify_identity
-from .exact.polynomials import Poly
 from .families.closed_forms import type1, type1_alt_equivalence, type2
 from .families.params import FAMILY_NAMES, MeixnerI, MeixnerII
 from .families.recurrence import nnrc
@@ -31,10 +37,10 @@ from .families.weights import mass_cancellation
 from .oracle.adjudicate import run_adjudications
 from .oracle.moments import validate_closed_form
 from .oracle.reconstruct import (
+    OracleContext,
     check_biorthogonality,
     oracle_nnrc,
-    oracle_type1,
-    oracle_type2,
+    type2_residual_vanishes,
 )
 from .sampling import draw_params, draw_params_moderate, rational
 
@@ -45,11 +51,12 @@ SWEEPS = {
 }
 
 
-def _recurrence_identity_cached(params, n, perm, k, coeffs, t2cache):
-    """Exact type II recurrence residual, reusing cached polynomials.
+def _recurrence_identity_cached(params, n, perm, k, coeffs, t2cache, values):
+    """Exact type II recurrence residual from cached polynomials and node values.
 
-    Returns True/False, or None when a needed shift leaves N_0^p with a
-    nonzero coefficient (the relation is not applicable to that trial).
+    Returns True/False, or None when the relation does not apply to the
+    trial: B_{n+e_k} would exceed the support bound, or a needed shift leaves
+    N_0^p with a nonzero coefficient.
     """
     if params.finite_support and n.size + 1 > params.N:
         return None  # B_{n+e_k} would exceed the support bound
@@ -59,17 +66,7 @@ def _recurrence_identity_cached(params, n, perm, k, coeffs, t2cache):
             t2cache[m] = type2(params, MultiIndex.of(m))
         return t2cache[m]
 
-    residual = Poly.x() * t2(n.entries) - t2(n.add_unit(k).entries) \
-        - coeffs.b0[k - 1] * t2(n.entries)
-    for j in range(1, params.p + 1):
-        s, _, _ = step_sets(perm, j)
-        bjv = coeffs.bj[j - 1]
-        if not n.can_shift([-v for v in s]):
-            if bjv == 0:
-                continue
-            return None
-        residual = residual - bjv * t2(n.shifted([-v for v in s]).entries)
-    return residual.is_zero()
+    return type2_residual_vanishes(n, perm, k, coeffs, t2, values)
 
 
 def run_closed_vs_oracle(sweep: str = "standard", seed: int = 0,
@@ -94,26 +91,21 @@ def run_closed_vs_oracle(sweep: str = "standard", seed: int = 0,
                 perms.append(Permutation.of((2, 1)))
             for _ in range(cfg["draws"]):
                 params = draw_params(rng, family, p, cfg["n_max"])
+                context = OracleContext(params)
                 t2cache: dict = {}
-                o1cache: dict = {}
-
-                def otype1(m: MultiIndex):
-                    if m.entries not in o1cache:
-                        o1cache[m.entries] = oracle_type1(params, m)
-                    return o1cache[m.entries]
-
+                values: dict = {}
                 for n in multi_indices(p, cfg["n_max"]):
                     cf2 = type2(params, n)
                     t2cache[n.entries] = cf2
                     if "type2" in checks:
-                        if cf2 != oracle_type2(params, n):
+                        if cf2 != context.type2(n):
                             stats["mismatches"].append(
                                 {"check": "type2", "family": family,
                                  "params": params.to_json(), "n": list(n.entries),
                                  "status": "fail"})
                         stats["type2"] += 1
                     if "type1" in checks and n.size >= 1:
-                        ora = otype1(n)
+                        ora = context.type1(n)
                         for i in range(1, p + 1):
                             cf1 = type1(params, n, i)
                             if cf1.is_zero():
@@ -132,7 +124,7 @@ def run_closed_vs_oracle(sweep: str = "standard", seed: int = 0,
                     for perm in perms:
                         coeffs = nnrc(params, n, perm)
                         try:
-                            orc = oracle_nnrc(params, n, perm, type1_fn=otype1)
+                            orc = oracle_nnrc(params, n, perm, context=context)
                         except InvalidShiftError:
                             orc = None
                         if orc is not None:
@@ -143,8 +135,8 @@ def run_closed_vs_oracle(sweep: str = "standard", seed: int = 0,
                                      "perm": list(perm.image), "status": "fail"})
                             stats["recurrence"] += 1
                         for k in range(1, p + 1):
-                            res = _recurrence_identity_cached(params, n, perm, k,
-                                                              coeffs, t2cache)
+                            res = _recurrence_identity_cached(params, n, perm, k, coeffs,
+                                                              t2cache, values)
                             if res is None:
                                 continue
                             if not res:

@@ -58,6 +58,19 @@ def test_stirling2_against_inclusion_exclusion(n):
             assert stirling2(n, k) == brute_stirling2(n, k)
 
 
+def test_stirling2_large_cold_row():
+    # far beyond the recursion limit; (1/k!) sum_i (-1)^i C(k,i) (k-i)^n
+    from math import comb, factorial
+    from mopoly.exact import combinatorics
+
+    n, k = 1500, 700
+    explicit = sum((-1) ** i * comb(k, i) * (k - i) ** n for i in range(k + 1))
+    assert explicit % factorial(k) == 0
+    assert stirling2(n, k) == explicit // factorial(k)
+    assert stirling2(n, n + 1) == 0
+    assert combinatorics._stirling2_row.cache_info().maxsize is not None
+
+
 def test_multi_index_basics():
     n = MultiIndex.of((2, 0, 1))
     assert n.size == 3 and n.p == 3

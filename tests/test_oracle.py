@@ -4,10 +4,13 @@ from fractions import Fraction as F
 import pytest
 
 from mopoly.errors import InvalidShiftError, SingularSystemError
-from mopoly.exact import MultiIndex, Permutation, Poly
+from mopoly.exact import MultiIndex, Permutation, Poly, all_permutations, multi_indices
 from mopoly.families import Charlier, Hahn, Kravchuk, MeixnerI, MeixnerII, type1, type2, weight
+from mopoly.families.params import FAMILY_NAMES
 from mopoly.families.weights import mass_cancellation
 from mopoly.oracle import (
+    MomentTable,
+    OracleContext,
     check_biorthogonality,
     check_recurrence_identity,
     normalized_moments,
@@ -16,7 +19,9 @@ from mopoly.oracle import (
     oracle_type2,
     solve_exact,
 )
+from mopoly.oracle import moments, reconstruct
 from mopoly.oracle.adjudicate import run_adjudications
+from mopoly.sampling import draw_params
 
 
 def test_solver_round_trip():
@@ -102,6 +107,63 @@ def test_oracle_nnrc_values():
     assert coeffs.b0 == (F(3, 2),)
     with pytest.raises(InvalidShiftError):
         oracle_nnrc(Charlier((2, 3)), (1, 0), Permutation.of((2, 1)))
+
+
+def _nnrc_or_none(params, n, perm, **kwargs):
+    try:
+        return oracle_nnrc(params, n, perm, **kwargs)
+    except InvalidShiftError:
+        return None
+
+
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+def test_oracle_nnrc_shared_context_matches_fresh(family):
+    rng = random.Random(5)
+    for p, n_max in ((1, 3), (2, 3), (3, 2)):
+        params = draw_params(rng, family, p, n_max + 1)
+        context = OracleContext(params)
+        for n in multi_indices(p, n_max):
+            for perm in all_permutations(p):
+                assert (_nnrc_or_none(params, n, perm, context=context)
+                        == _nnrc_or_none(params, n, perm))
+
+
+def test_oracle_context_uses_no_closed_form(monkeypatch):
+    params = draw_params(random.Random(9), "hahn", 2, 4)
+    n = MultiIndex.of((2, 1))
+    perm = Permutation.of((2, 1))
+    expected = (oracle_type2(params, n), oracle_type1(params, n),
+                oracle_nnrc(params, n, perm))
+
+    def closed_form(*args, **kwargs):
+        raise AssertionError("the oracle called a closed form")
+
+    for name in ("type2", "type1", "nnrc"):
+        monkeypatch.setattr(reconstruct, name, closed_form, raising=False)
+    context = OracleContext(params)
+    assert (context.type2(n), context.type1(n),
+            oracle_nnrc(params, n, perm, context=context)) == expected
+    assert context.type1((0, 0)) == [Poly.zero(), Poly.zero()]
+
+
+def test_oracle_context_rejects_other_params():
+    context = OracleContext(Charlier((2,)))
+    with pytest.raises(ValueError):
+        oracle_nnrc(Charlier((3,)), (1,), context=context)
+
+
+def test_moment_cache_evicts_least_recently_used(monkeypatch):
+    monkeypatch.setattr(moments, "_MOMENT_CACHE_SIZE", 2)
+    monkeypatch.setattr(moments, "_MOMENT_CACHE", {})
+    first, second, third = Charlier((2,)), Charlier((3,)), Charlier((5,))
+    table = normalized_moments(first, 1, 4)
+    normalized_moments(second, 1, 4)
+    normalized_moments(first, 1, 2)          # first is now the most recent
+    normalized_moments(third, 1, 4)          # evicts second
+    assert list(moments._MOMENT_CACHE) == [(first, 1), (third, 1)]
+    assert normalized_moments(first, 1, 20)[:5] == table.moments   # extended on demand
+    assert normalized_moments(second, 1, 4) == MomentTable(1, (1, 3, 12, 57, 309))
+    assert len(moments._MOMENT_CACHE) == 2
 
 
 def test_biorthogonality_three_cases():

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from mopoly.exact import NEG_INF, Poly, expand_in_monomials, lagrange_interpolate, pochhammer
+from mopoly.exact.polynomials import basis_poly
 
 
 def test_zero_polynomial_degree_sentinel():
@@ -58,3 +59,20 @@ def test_expand_matches_direct_term_evaluation():
             else:
                 direct += coeff * pochhammer(x + spec[1], spec[2])
         assert poly(x) == direct
+
+
+def test_expand_groups_like_terms_exactly():
+    # repeated specs, including groups whose coefficients cancel, against the
+    # term-by-term sum of scaled basis polynomials
+    rng = random.Random(5)
+    specs = [("neg_x", l) for l in range(5)] + [("shifted", F(1, 3), l) for l in range(4)]
+    terms = []
+    for _ in range(40):
+        terms.append((F(rng.randrange(-9, 10), rng.randrange(1, 7)), rng.choice(specs)))
+    terms += [(F(5, 2), ("neg_x", 6)), (F(-5, 2), ("neg_x", 6)),
+              (3, ("shifted", 2, 3)), (F(-3), ("shifted", F(2), 3))]
+    direct = Poly.zero()
+    for coeff, spec in terms:
+        direct = direct + basis_poly(spec) * F(coeff)
+    assert expand_in_monomials(terms) == direct
+    assert expand_in_monomials([(1, ("neg_x", 3)), (-1, ("neg_x", 3))]).is_zero()
