@@ -11,9 +11,11 @@ l_i separately:
                        * prod_i x_i^{l_i} / l_i!
 
 Termination may come from a per-variable upper parameter (bounding that l_i)
-or from a global upper parameter (bounding the total |l|).  Terms are summed
-in lexicographic order of (l_1, ..., l_p); with exact arithmetic the order is
-irrelevant, but it keeps intermediate traces reproducible.
+or from a global upper parameter (bounding the total |l|).  The two
+``eval_*`` functions sum term by term with fresh Pochhammer symbols, as
+independent references.  The closed forms use one kernel instead:
+``term_table`` fills factor tables by term ratios and ``chain_sum`` folds them
+into the coefficients of a multiple sum in chain form.
 """
 
 from __future__ import annotations
@@ -136,3 +138,72 @@ def eval_kampe_de_feriet(spec: HypSeriesSpec) -> Fraction:
             term *= Fraction(spec.arguments[i]) ** l[i] / factorial(l[i])
         total += term
     return total
+
+
+def term_table(upper, lower, arg, length: int) -> list[Fraction]:
+    """Terms t_k = prod (a)_k / prod (b)_k * arg^k for k = 0..length, by ratios.
+
+    Walks t_{k+1} = t_k * arg * prod (a + k) / prod (b + k).  A 1 among the
+    lower parameters supplies the 1/k! of a series.  The walk stops at the
+    first vanishing upper factor (or a zero argument): every later term is
+    zero and the lower factors behind it are never divided by, so a lower pole
+    beyond termination does not raise.  One before it raises
+    ZeroDivisionError.
+    """
+    term = Fraction(1)
+    out = [term]
+    for k in range(length):
+        num = Fraction(arg)
+        for a in upper:
+            num *= a + k
+        if num == 0:
+            return out + [Fraction(0)] * (length - k)
+        den = Fraction(1)
+        for b in lower:
+            den *= b + k
+        term = term * num / den
+        out.append(term)
+    return out
+
+
+def _times(table, factor):
+    return table if factor is None else [t * f for t, f in zip(table, factor)]
+
+
+def chain_sum(u, g, v=None, w=None, by_first: bool = False) -> list[Fraction]:
+    """Coefficients of a terminating multiple sum in chain form.
+
+        c_L = g(L) * sum_{|l| = L} prod_i u_i(l_i) * v_i(S_i) * w_i(S_{i+1}),
+
+    with S_i = l_i + ... + l_p and S_{p+1} = 0.  ``u[i]``, ``v[i]`` and
+    ``w[i]`` are the factor tables of variable i + 1, indexed by l_i, S_i and
+    S_{i+1}; ``v`` and ``w`` may be None for factors of one.  ``g`` is
+    indexed by the total L and caps it at len(g) - 1.  The variables are
+    folded one at a time, from i = p down to 1, into a table indexed by the
+    partial sum S_i, which costs O(p |n| max n_i) products in place of
+    prod (n_i + 1) terms.
+
+    With ``by_first`` the coefficients are indexed by l_1 instead of L (the
+    type I sums, whose basis depends on l_1 only); the last step is then the
+    correlation c_{l_1} = u_1(l_1) sum_M g(l_1 + M) v_1(l_1 + M) w_1(M) T_2(M),
+    where T_2 is the table of variables 2..p folded by partial sum M.
+    """
+    p = len(u)
+    v = v or [None] * p
+    w = w or [None] * p
+    cap = len(g)
+    table = [Fraction(1)]
+    for i in range(p - 1, 0 if by_first else -1, -1):
+        inner = _times(table, w[i])
+        out = [Fraction(0)] * min(len(inner) + len(u[i]) - 1, cap)
+        for l, ul in enumerate(u[i][:cap]):
+            if ul:
+                for s, t in enumerate(inner[:cap - l]):
+                    out[l + s] += ul * t
+        table = _times(out, v[i])
+    if not by_first:
+        return _times(table, g)
+    outer = _times(g, v[0])
+    inner = _times(table, w[0])
+    return [ul * sum((outer[l + m] * t for m, t in enumerate(inner[:cap - l])), Fraction(0))
+            for l, ul in enumerate(u[0][:cap])]

@@ -140,58 +140,36 @@ def lagrange_interpolate(points) -> Poly:
     return total
 
 
-# Basis specs for expand_in_monomials: ("neg_x", l) is (-x)_l, ("shifted", s, l)
-# is (x + s)_l, both rising factorials of length l in the variable x.
-
-
-def basis_poly(spec) -> Poly:
-    kind = spec[0]
-    if kind == "neg_x":
-        _, l = spec
-        out = Poly.one()
-        for k in range(l):
-            out = out * Poly([k, -1])  # (-x + k)
-        return out
-    if kind == "shifted":
-        _, s, l = spec
-        s = Fraction(s)
-        out = Poly.one()
-        for k in range(l):
-            out = out * Poly([s + k, 1])  # (x + s + k)
-        return out
-    raise ValueError(f"unknown basis spec {spec!r}")
-
-
 def expand_in_monomials(terms) -> Poly:
     """Expand a sum of coefficient * shifted-factorial basis terms exactly.
 
     ``terms`` is an iterable of (coefficient, basis_spec) pairs where the basis
     is ("neg_x", l) for (-x)_l or ("shifted", s, l) for (x + s)_l.  The
-    coefficients are summed per basis spec first, so each distinct basis is
-    expanded once (exact by distributivity); successive factorials over the
-    same basis family are built incrementally.
+    coefficients are summed per basis spec, and each basis family is expanded
+    by nested multiplication,
+
+        sum_l c_l (x + s)_l = c_0 + (x + s) (c_1 + (x + s + 1) (c_2 + ...)),
+
+    which is exact by distributivity.
     """
-    grouped: dict[tuple, Fraction] = {}
+    families: dict[tuple, dict[int, Fraction]] = {}
     for coeff, spec in terms:
-        grouped[spec] = grouped.get(spec, 0) + Fraction(coeff)
+        coeffs = families.setdefault(spec[:-1], {})
+        coeffs[spec[-1]] = coeffs.get(spec[-1], 0) + Fraction(coeff)
     total = Poly.zero()
-    cache: dict[tuple, Poly] = {}
-    for spec, coeff in grouped.items():
-        if coeff == 0:
-            continue
-        poly = cache.get(spec)
-        if poly is None:
-            # reuse the previous length in the same family when available
-            kind = spec[0]
-            l = spec[-1]
-            prev = cache.get(spec[:-1] + (l - 1,)) if l > 0 else None
-            if prev is not None:
-                if kind == "neg_x":
-                    poly = prev * Poly([l - 1, -1])
-                else:
-                    poly = prev * Poly([Fraction(spec[1]) + l - 1, 1])
-            else:
-                poly = basis_poly(spec)
-            cache[spec] = poly
-        total = total + poly * coeff
+    for family, coeffs in families.items():
+        if family == ("neg_x",):
+            shift, sign = Fraction(0), -1     # factors (k - x)
+        elif family[0] == "shifted" and len(family) == 2:
+            shift, sign = Fraction(family[1]), 1   # factors (x + s + k)
+        else:
+            raise ValueError(f"unknown basis family {family!r}")
+        acc: list[Fraction] = []
+        for l in range(max(coeffs), -1, -1):
+            nxt = [(shift + l) * c for c in acc] + [Fraction(0)]
+            for k, c in enumerate(acc):
+                nxt[k + 1] += sign * c
+            nxt[0] += coeffs.get(l, 0)
+            acc = nxt
+        total = total + Poly(acc)
     return total

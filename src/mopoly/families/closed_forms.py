@@ -12,18 +12,26 @@ Type I polynomials A^{(i)} have degree <= n_i - 1 and carry a transcendental
 prefactor token for the infinite-support families; the rational part is built
 exactly from the terminating multiple sums.  A component with n_i = 0 is the
 zero polynomial by convention (it has no degrees of freedom).
+
+Every printed multiple sum is evaluated by one kernel,
+``exact.hypergeometric.chain_sum``: its coefficient of (-x)_L or (x+s)_l is
+written in chain form, a product of factor tables indexed by one summation
+variable l_i, by the tail sums S_i = l_i + ... + l_p or by the total, and
+the tables are filled by term ratios (``term_table``).  The single-sum type I
+forms (Hahn, Meixner second kind) are one term table.  The values are the
+printed sums exactly; only the order of the exact operations differs.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from ..errors import DegreeExceedsSupportError, OutOfSupportError, UnsupportedRepresentationError
 from ..exact.combinatorics import factorial, pochhammer
-from ..exact.hypergeometric import eval_pfq_terminating
-from ..exact.identities import hahn_sum_coefficient
+from ..exact.hypergeometric import chain_sum, eval_pfq_terminating, term_table
 from ..exact.indices import MultiIndex
 from ..exact.polynomials import Poly, expand_in_monomials, lagrange_interpolate
 from .params import Charlier, FamilyParams, Hahn, Kravchuk, MeixnerI, MeixnerII
@@ -45,80 +53,59 @@ def type2(params: FamilyParams, n: MultiIndex, representation: str = "coefficien
         raise ValueError(f"multi-index length {n.p} != number of weights {params.p}")
     _check_degree(params, n.size)
     if representation == "coefficient_sum":
-        return _type2_coefficient_sum(params, n)
+        coeffs = _type2_coefficients(params, n)
+        return expand_in_monomials((t, ("neg_x", L)) for L, t in enumerate(coeffs))
     if representation == "weighted_pfq":
         return _type2_weighted_pfq(params, n)
     raise UnsupportedRepresentationError(f"unknown type II representation {representation!r}")
 
 
-def _type2_coefficient_sum(params: FamilyParams, n: MultiIndex) -> Poly:
-    terms = []
-    ranges = [range(ni + 1) for ni in n]
+def _type2_coefficients(params: FamilyParams, n: MultiIndex) -> list[Fraction]:
+    """c_L of B_n = sum_L c_L (-x)_L, c_L = pref * g(L) * sum_{|l|=L} prod_i u_i v_i w_i.
+
+    Every family's printed coefficient is in the chain form of ``chain_sum``:
+    u_i(l_i) = (-n_i)_{l_i} r_i^{l_i} / l_i!, and only Hahn and Meixner II
+    have the factors v_i(S_i), w_i(S_{i+1}) linking consecutive variables.
+    """
+    size, p = n.size, params.p
+    tails = [sum(n[i:]) for i in range(p + 1)]   # largest S_i
+    v = w = None
+    ratios = [1] * p
     if isinstance(params, Hahn):
-        for l in itertools.product(*ranges):
-            coeff = hahn_sum_coefficient(params.alpha, params.beta, params.N, n.entries, l)
-            terms.append((coeff, ("neg_x", sum(l))))
-        return expand_in_monomials(terms)
-
-    if isinstance(params, MeixnerII):
+        alpha, beta, N = params.alpha, params.beta, params.N
+        pref = pochhammer(-N, size) * math.prod(
+            pochhammer(ai + 1, ni) / pochhammer(ai + beta + size + 1, ni)
+            for ai, ni in zip(alpha, n))
+        g = term_table([], [-N], 1, size)
+        partial = list(itertools.accumulate(n))   # N_i = n_1 + ... + n_i
+        v = [term_table([ai + beta + Ni + 1], [ai + 1], 1, tails[i])
+             for i, (ai, Ni) in enumerate(zip(alpha, partial))]
+        w = [term_table([ai + ni + 1], [ai + beta + Ni + 1], 1, tails[i + 1])
+             for i, (ai, ni, Ni) in enumerate(zip(alpha, n, partial))]
+    elif isinstance(params, MeixnerII):
         c, beta = params.c, params.beta
-        pref = (c / (c - 1)) ** n.size
-        for b, ni in zip(beta, n):
-            pref *= pochhammer(b, ni)
-        for l in itertools.product(*ranges):
-            L = sum(l)
-            coeff = pref * ((c - 1) / c) ** L
-            for i in range(params.p):
-                coeff *= pochhammer(-n[i], l[i]) / factorial(l[i])
-                coeff /= pochhammer(beta[i], sum(l[i:]))
-                if i < params.p - 1:
-                    coeff *= pochhammer(beta[i] + n[i], sum(l[i + 1:]))
-            terms.append((coeff, ("neg_x", L)))
-        return expand_in_monomials(terms)
-
-    if isinstance(params, MeixnerI):
+        pref = (c / (c - 1)) ** size * math.prod(pochhammer(b, ni) for b, ni in zip(beta, n))
+        g = term_table([], [], (c - 1) / c, size)
+        v = [term_table([], [b], 1, tails[i]) for i, b in enumerate(beta)]
+        w = [term_table([b + ni], [], 1, tails[i + 1]) for i, (b, ni) in enumerate(zip(beta, n))]
+    elif isinstance(params, MeixnerI):
         beta, cs = params.beta0, params.c
-        pref = pochhammer(beta, n.size)
-        for ci, ni in zip(cs, n):
-            pref *= (ci / (ci - 1)) ** ni
-        for l in itertools.product(*ranges):
-            L = sum(l)
-            coeff = pref / pochhammer(beta, L)
-            for i in range(params.p):
-                coeff *= (pochhammer(-n[i], l[i]) / factorial(l[i])
-                          * ((cs[i] - 1) / cs[i]) ** l[i])
-            terms.append((coeff, ("neg_x", L)))
-        return expand_in_monomials(terms)
-
-    if isinstance(params, Kravchuk):
+        pref = pochhammer(beta, size) * math.prod((ci / (ci - 1)) ** ni for ci, ni in zip(cs, n))
+        g = term_table([], [beta], 1, size)
+        ratios = [(ci - 1) / ci for ci in cs]
+    elif isinstance(params, Kravchuk):
         ps, N = params.p_success, params.N
-        pref = pochhammer(-N, n.size)
-        for q, ni in zip(ps, n):
-            pref *= q**ni
-        for l in itertools.product(*ranges):
-            L = sum(l)
-            coeff = pref / pochhammer(-N, L)
-            for i in range(params.p):
-                coeff *= (pochhammer(-n[i], l[i]) / factorial(l[i])
-                          * Fraction(1, 1) / ps[i] ** l[i])
-            terms.append((coeff, ("neg_x", L)))
-        return expand_in_monomials(terms)
-
-    if isinstance(params, Charlier):
-        a = params.a
-        pref = Fraction(1)
-        for ai, ni in zip(a, n):
-            pref *= (-ai) ** ni
-        for l in itertools.product(*ranges):
-            L = sum(l)
-            coeff = pref
-            for i in range(params.p):
-                coeff *= (pochhammer(-n[i], l[i]) / factorial(l[i])
-                          * (Fraction(-1) / a[i]) ** l[i])
-            terms.append((coeff, ("neg_x", L)))
-        return expand_in_monomials(terms)
-
-    raise TypeError(f"unknown family {params!r}")
+        pref = pochhammer(-N, size) * math.prod(q**ni for q, ni in zip(ps, n))
+        g = term_table([], [-N], 1, size)
+        ratios = [1 / q for q in ps]
+    elif isinstance(params, Charlier):
+        pref = math.prod((-ai) ** ni for ai, ni in zip(params.a, n))
+        g = [Fraction(1)] * (size + 1)
+        ratios = [-1 / ai for ai in params.a]
+    else:
+        raise TypeError(f"unknown family {params!r}")
+    u = [term_table([-ni], [1], r, ni) for ni, r in zip(n, ratios)]
+    return chain_sum(u, [pref * t for t in g], v, w)
 
 
 def _type2_weighted_pfq(params: FamilyParams, n: MultiIndex) -> Poly:
@@ -158,37 +145,16 @@ def _type2_weighted_pfq(params: FamilyParams, n: MultiIndex) -> Poly:
         f"weighted_pfq representation exists only for hahn and meixner2, not {params.family}")
 
 
-def _multi_sum_terms(bound: int, n_other, global_upper, global_lower,
-                     x_arg: Fraction, other_args, basis_maker):
-    """Terms of the generic type I multiple sum.
+def _type1_sum(ni: int, global_lower, x_arg, others) -> list[Fraction]:
+    """Coefficients by l_x of the type I multiple sum over |l| <= ni - 1:
 
-    sum over l = (l_x, l_2, ..., l_p), |l| <= bound, of
-
-      (gu)_{|l|} / (gl)_{|l|} * x_arg^{l_x} / l_x! * basis(l_x)
-      * prod_q (n_q)_{l_q} arg_q^{l_q} / l_q!
-
-    yielding (coefficient, basis_spec) pairs for expand_in_monomials.
+      (1-n_i)_{|l|} / prod (gl)_{|l|} * x_arg^{l_x} / l_x!
+      * prod_q (n_q)_{l_q} arg_q^{l_q} / l_q!,   others = [(n_q, arg_q), ...]
     """
-    m = len(n_other)
-    terms = []
-    space = [range(bound + 1)] * (m + 1)
-    for l in itertools.product(*space):
-        L = sum(l)
-        if L > bound:
-            continue
-        coeff = Fraction(1)
-        for g in global_upper:
-            coeff *= pochhammer(g, L)
-        if coeff == 0:
-            continue
-        for g in global_lower:
-            coeff /= pochhammer(g, L)
-        coeff *= x_arg ** l[0] / factorial(l[0])
-        for q in range(m):
-            coeff *= (pochhammer(n_other[q], l[q + 1]) * other_args[q] ** l[q + 1]
-                      / factorial(l[q + 1]))
-        terms.append((coeff, basis_maker(l[0])))
-    return terms
+    bound = ni - 1
+    u = [term_table([], [1], x_arg, bound)]
+    u += [term_table([nq], [1], arg, bound) for nq, arg in others]
+    return chain_sum(u, term_table([1 - ni], global_lower, 1, bound), by_first=True)
 
 
 def type1(params: FamilyParams, n: MultiIndex, i: int) -> PrefactoredPolynomial:
@@ -220,17 +186,12 @@ def type1(params: FamilyParams, n: MultiIndex, i: int) -> PrefactoredPolynomial:
             g *= pochhammer(alpha[k] + beta + size, n[k])
             if k != i - 1:
                 g /= pochhammer(alpha[k] - ai, n[k])
-        terms = []
-        for l in range(ni):
-            coeff = (g * pochhammer(-ni + 1, l) * pochhammer(ai + beta + size, l)
-                     / (factorial(l) * pochhammer(ai + 1, l)
-                        * pochhammer(ai + beta + N + 2, l)))
-            for k in range(params.p):
-                if k != i - 1:
-                    coeff *= (pochhammer(ai - alpha[k] - n[k] + 1, l)
-                              / pochhammer(ai - alpha[k] + 1, l))
-            terms.append((coeff, ("shifted", ai + 1, l)))
-        return PrefactoredPolynomial(PrefactorToken.one(), expand_in_monomials(terms))
+        rest = [k for k in range(params.p) if k != i - 1]
+        coeffs = term_table(
+            [1 - ni, ai + beta + size] + [ai - alpha[k] - n[k] + 1 for k in rest],
+            [1, ai + 1, ai + beta + N + 2] + [ai - alpha[k] + 1 for k in rest], 1, ni - 1)
+        poly = expand_in_monomials((g * t, ("shifted", ai + 1, l)) for l, t in enumerate(coeffs))
+        return PrefactoredPolynomial(PrefactorToken.one(), poly)
 
     if isinstance(params, MeixnerII):
         beta, c = params.beta, params.c
@@ -239,17 +200,12 @@ def type1(params: FamilyParams, n: MultiIndex, i: int) -> PrefactoredPolynomial:
         for k in range(params.p):
             if k != i - 1:
                 g /= pochhammer(beta[k] - bi, n[k])
-        terms = []
-        for l in range(ni):
-            coeff = (g * pochhammer(-ni + 1, l) * (1 - c) ** l
-                     / (factorial(l) * pochhammer(bi, l)))
-            for k in range(params.p):
-                if k != i - 1:
-                    coeff *= (pochhammer(bi + 1 - beta[k] - n[k], l)
-                              / pochhammer(bi + 1 - beta[k], l))
-            terms.append((coeff, ("shifted", bi, l)))
+        rest = [k for k in range(params.p) if k != i - 1]
+        coeffs = term_table([1 - ni] + [bi + 1 - beta[k] - n[k] for k in rest],
+                            [1, bi] + [bi + 1 - beta[k] for k in rest], 1 - c, ni - 1)
+        poly = expand_in_monomials((g * t, ("shifted", bi, l)) for l, t in enumerate(coeffs))
         token = PrefactorToken.pow_one_minus_c(c, bi + size - 1)
-        return PrefactoredPolynomial(token, expand_in_monomials(terms))
+        return PrefactoredPolynomial(token, poly)
 
     if isinstance(params, MeixnerI):
         beta, cs = params.beta0, params.c
@@ -257,16 +213,12 @@ def type1(params: FamilyParams, n: MultiIndex, i: int) -> PrefactoredPolynomial:
         g = (Fraction(-1) ** (ni - 1)
              / (factorial(ni - 1) * pochhammer(beta, size - ni) * ci ** (ni - 1)))
         others = []
-        other_args = []
         for q in range(params.p):
             if q != i - 1:
                 g *= ((1 - cs[q]) / (ci - cs[q])) ** n[q]
-                others.append(Fraction(n[q]))
-                other_args.append((1 - ci) * cs[q] / (cs[q] - ci))
-        terms = _multi_sum_terms(
-            ni - 1, others, [Fraction(-ni + 1)], [beta + size - ni],
-            1 - ci, other_args, lambda l: ("shifted", beta, l))
-        poly = expand_in_monomials([(g * c, spec) for c, spec in terms])
+                others.append((n[q], (1 - ci) * cs[q] / (cs[q] - ci)))
+        coeffs = _type1_sum(ni, [beta + size - ni], 1 - ci, others)
+        poly = expand_in_monomials((g * t, ("shifted", beta, l)) for l, t in enumerate(coeffs))
         token = PrefactorToken.pow_one_minus_ci(i, ci, beta + size - 1)
         return PrefactoredPolynomial(token, poly)
 
@@ -276,16 +228,12 @@ def type1(params: FamilyParams, n: MultiIndex, i: int) -> PrefactoredPolynomial:
         g = (Fraction(-1) ** (ni - 1)
              / (factorial(ni - 1) * pochhammer(-N, size - ni) * (1 - qi) ** (ni - 1)))
         others = []
-        other_args = []
         for q in range(params.p):
             if q != i - 1:
                 g /= (ps[q] - qi) ** n[q]
-                others.append(Fraction(n[q]))
-                other_args.append((1 - ps[q]) / (qi - ps[q]))
-        terms = _multi_sum_terms(
-            ni - 1, others, [Fraction(-ni + 1)], [Fraction(-N + size - ni)],
-            1 / qi, other_args, lambda l: ("neg_x", l))
-        poly = expand_in_monomials([(g * c, spec) for c, spec in terms])
+                others.append((n[q], (1 - ps[q]) / (qi - ps[q])))
+        coeffs = _type1_sum(ni, [-N + size - ni], 1 / qi, others)
+        poly = expand_in_monomials((g * t, ("neg_x", l)) for l, t in enumerate(coeffs))
         return PrefactoredPolynomial(PrefactorToken.one(), poly)
 
     if isinstance(params, Charlier):
@@ -293,16 +241,12 @@ def type1(params: FamilyParams, n: MultiIndex, i: int) -> PrefactoredPolynomial:
         ai = a[i - 1]
         g = Fraction(-1) ** (ni - 1) / factorial(ni - 1)
         others = []
-        other_args = []
         for q in range(params.p):
             if q != i - 1:
                 g /= (ai - a[q]) ** n[q]
-                others.append(Fraction(n[q]))
-                other_args.append(1 / (a[q] - ai))
-        terms = _multi_sum_terms(
-            ni - 1, others, [Fraction(-ni + 1)], [],
-            Fraction(-1) / ai, other_args, lambda l: ("neg_x", l))
-        poly = expand_in_monomials([(g * c, spec) for c, spec in terms])
+                others.append((n[q], 1 / (a[q] - ai)))
+        coeffs = _type1_sum(ni, [], -1 / ai, others)
+        poly = expand_in_monomials((g * t, ("neg_x", l)) for l, t in enumerate(coeffs))
         return PrefactoredPolynomial(PrefactorToken.exp_neg(ai), poly)
 
     raise TypeError(f"unknown family {params!r}")
@@ -319,16 +263,12 @@ def type1_meixner1_alt(params: MeixnerI, n: MultiIndex, i: int) -> PrefactoredPo
     size = n.size
     g = Fraction(-1) ** (ni - 1) / (factorial(ni - 1) * pochhammer(beta, size - ni))
     others = []
-    other_args = []
     for q in range(params.p):
         if q != i - 1:
             g *= ((1 - cs[q]) / (ci - cs[q])) ** n[q]
-            others.append(Fraction(n[q]))
-            other_args.append((ci - 1) / (ci - cs[q]))
-    terms = _multi_sum_terms(
-        ni - 1, others, [Fraction(-ni + 1)], [beta + size - ni],
-        (ci - 1) / ci, other_args, lambda l: ("neg_x", l))
-    poly = expand_in_monomials([(g * c, spec) for c, spec in terms])
+            others.append((n[q], (ci - 1) / (ci - cs[q])))
+    coeffs = _type1_sum(ni, [beta + size - ni], (ci - 1) / ci, others)
+    poly = expand_in_monomials((g * t, ("neg_x", l)) for l, t in enumerate(coeffs))
     token = PrefactorToken.pow_one_minus_ci(i, ci, beta + size - 1)
     return PrefactoredPolynomial(token, poly)
 

@@ -17,6 +17,7 @@ high-precision floats (the truncation point is driven by a tail bound).
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -63,6 +64,7 @@ def _factorial_moment(params: FamilyParams, i: int, j: int) -> Fraction:
 
 _MOMENT_CACHE_SIZE = 4096
 _MOMENT_CACHE: dict = {}   # (params, i) -> moments, least recently used first
+_MOMENT_LOCK = threading.Lock()
 
 
 def normalized_moments(params: FamilyParams, i: int, jmax: int) -> MomentTable:
@@ -71,17 +73,19 @@ def normalized_moments(params: FamilyParams, i: int, jmax: int) -> MomentTable:
     Tables are cached per (params, i) -- the parameter objects are frozen and
     hashable -- and extended on demand; repeated oracle solves over one
     parameter draw reuse the same moments.  The cache keeps the
-    ``_MOMENT_CACHE_SIZE`` most recently used tables.
+    ``_MOMENT_CACHE_SIZE`` most recently used tables; a lock makes the lookup,
+    the re-insertion and the eviction one step, so concurrent callers are safe.
     """
     if jmax < 0:
         raise ValueError("jmax must be >= 0")
     key = (params, i)
-    mus = _MOMENT_CACHE.pop(key, None)   # re-inserted below as the most recent
-    if mus is None or len(mus) <= jmax:
-        mus = _compute_moments(params, i, max(jmax, 2 * len(mus) if mus else 8))
-    _MOMENT_CACHE[key] = mus
-    if len(_MOMENT_CACHE) > _MOMENT_CACHE_SIZE:
-        del _MOMENT_CACHE[next(iter(_MOMENT_CACHE))]
+    with _MOMENT_LOCK:
+        mus = _MOMENT_CACHE.pop(key, None)   # re-inserted below as the most recent
+        if mus is None or len(mus) <= jmax:
+            mus = _compute_moments(params, i, max(jmax, 2 * len(mus) if mus else 8))
+        _MOMENT_CACHE[key] = mus
+        if len(_MOMENT_CACHE) > _MOMENT_CACHE_SIZE:
+            del _MOMENT_CACHE[next(iter(_MOMENT_CACHE))]
     return MomentTable(i, tuple(mus[: jmax + 1]))
 
 

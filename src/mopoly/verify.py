@@ -8,7 +8,8 @@ rational equality.
 The closed-vs-oracle sweep keeps three caches per parameter draw: an
 ``OracleContext`` that solves each oracle B_n and A_hat_m and each recurrence
 pairing once for every permutation and shift, the closed-form type II
-polynomials at shifted multi-indices, and their values at the integer nodes.
+polynomials (each built once, whether the sweep over n or a shifted residual
+trial needs it first), and their values at the integer nodes.
 The recurrence identity is checked by evaluating its residual at those nodes
 (``type2_residual_vanishes``), which is exact.  Every closed form is still
 computed as printed and compared for every (n, i, permutation).
@@ -95,8 +96,10 @@ def run_closed_vs_oracle(sweep: str = "standard", seed: int = 0,
                 t2cache: dict = {}
                 values: dict = {}
                 for n in multi_indices(p, cfg["n_max"]):
-                    cf2 = type2(params, n)
-                    t2cache[n.entries] = cf2
+                    # residual trials of smaller n may already have built B_n
+                    if n.entries not in t2cache:
+                        t2cache[n.entries] = type2(params, n)
+                    cf2 = t2cache[n.entries]
                     if "type2" in checks:
                         if cf2 != context.type2(n):
                             stats["mismatches"].append(

@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 from fractions import Fraction as F
 
 import pytest
@@ -163,6 +165,41 @@ def test_moment_cache_evicts_least_recently_used(monkeypatch):
     assert list(moments._MOMENT_CACHE) == [(first, 1), (third, 1)]
     assert normalized_moments(first, 1, 20)[:5] == table.moments   # extended on demand
     assert normalized_moments(second, 1, 4) == MomentTable(1, (1, 3, 12, 57, 309))
+    assert len(moments._MOMENT_CACHE) == 2
+
+
+def test_moment_cache_is_safe_across_threads(monkeypatch):
+    # four threads (more than cores) churn a two-table cache over many
+    # distinct draws; every lookup, re-insertion and eviction races with the
+    # others
+    monkeypatch.setattr(moments, "_MOMENT_CACHE_SIZE", 2)
+    monkeypatch.setattr(moments, "_MOMENT_CACHE", {})
+    draws = [(Charlier((F(k, 7),)), 2 + k % 5) for k in range(1, 150)]
+    expected = [normalized_moments(params, 1, jmax) for params, jmax in draws]
+    errors, results = [], {}
+
+    def work(name, order):
+        try:
+            results[name] = {k: normalized_moments(draws[k][0], 1, draws[k][1]) for k in order}
+        except Exception as exc:   # reported below, not swallowed
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        order = list(range(len(draws)))
+        threads = [threading.Thread(target=work, args=(name, order[::step]))
+                   for name, step in (("up", 1), ("down", -1), ("up2", 1), ("down2", -1))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    for name in ("up", "down", "up2", "down2"):
+        assert [results[name][k] for k in range(len(draws))] == expected
     assert len(moments._MOMENT_CACHE) == 2
 
 

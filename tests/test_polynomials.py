@@ -4,7 +4,6 @@ from fractions import Fraction as F
 import pytest
 
 from mopoly.exact import NEG_INF, Poly, expand_in_monomials, lagrange_interpolate, pochhammer
-from mopoly.exact.polynomials import basis_poly
 
 
 def test_zero_polynomial_degree_sentinel():
@@ -59,6 +58,18 @@ def test_expand_matches_direct_term_evaluation():
             else:
                 direct += coeff * pochhammer(x + spec[1], spec[2])
         assert poly(x) == direct
+
+
+def basis_poly(spec) -> Poly:
+    """(-x)_l for ("neg_x", l), (x + s)_l for ("shifted", s, l), factor by factor."""
+    if spec[0] == "neg_x":
+        factors = [Poly([k, -1]) for k in range(spec[1])]
+    else:
+        factors = [Poly([F(spec[1]) + k, 1]) for k in range(spec[2])]
+    out = Poly.one()
+    for f in factors:
+        out = out * f
+    return out
 
 
 def test_expand_groups_like_terms_exactly():
