@@ -19,7 +19,6 @@ uses the validated one, and the adjudication suite records the flip.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -104,6 +103,14 @@ def _cluster_circle(inside, outside, region=None) -> ContourSpec:
     return ContourSpec("circle", "counterclockwise", center, inner + max(pad, 1e-3))
 
 
+def _printed_clockwise(label, pref, integrand, poles_in, poles_out, region,
+                       note="printed clockwise; closed forms require counterclockwise"):
+    """A representation printed clockwise that the closed forms confirm counterclockwise."""
+    contour = _cluster_circle(poles_in, poles_out, region)
+    return ContourIntegral(label, pref, integrand, poles_in, poles_out, region,
+                           "clockwise", "counterclockwise", contour, note=note)
+
+
 def integral_representation(params: FamilyParams, kind: str, n: MultiIndex,
                             x: int, i: int | None = None) -> ContourIntegral:
     """Build the contour representation of one polynomial value.
@@ -118,17 +125,7 @@ def integral_representation(params: FamilyParams, kind: str, n: MultiIndex,
         raise UnsupportedRepresentationError(f"unknown kind {kind!r}")
     if kind == "type1" and i is None:
         raise ValueError("type1 representation needs the component index i")
-    if isinstance(params, Hahn):
-        return _hahn_integral(params, kind, n, x, i)
-    if isinstance(params, MeixnerII):
-        return _meixner2_integral(params, kind, n, x, i)
-    if isinstance(params, MeixnerI):
-        return _meixner1_integral(params, kind, n, x, i)
-    if isinstance(params, Kravchuk):
-        return _kravchuk_integral(params, kind, n, x, i)
-    if isinstance(params, Charlier):
-        return _charlier_integral(params, kind, n, x, i)
-    raise TypeError(f"unknown family {params!r}")
+    return _INTEGRALS[params.family](params, kind, n, x, i)
 
 
 def _type1_pole_split(clusters, i):
@@ -174,18 +171,12 @@ def _hahn_integral(params: Hahn, kind, n, x, i):
                                        - _lgf(x) - _lgf(N - x))
         poles_in = tuple(p for cl in clusters for p in cl)
         poles_out = (complex(-x - 1), complex(-be - sz))
-        contour = _cluster_circle(poles_in, poles_out, region)
-        return ContourIntegral("hahn_linear_form", pref, integrand, poles_in, poles_out,
-                               region, "clockwise", "counterclockwise", contour,
-                               note="printed clockwise; closed forms require counterclockwise")
+        return _printed_clockwise("hahn_linear_form", pref, integrand, poles_in, poles_out, region)
     pref = float(prefq / pochhammer(params.beta + 1, sz - 1)) \
         / float(pochhammer(params.alpha[i - 1] + 1, x))
     poles_in, poles_out = _type1_pole_split(clusters, i)
     poles_out = poles_out + (complex(-x - 1), complex(-be - sz))
-    contour = _cluster_circle(poles_in, poles_out, region)
-    return ContourIntegral("hahn_type1", pref, integrand, poles_in, poles_out,
-                           region, "clockwise", "counterclockwise", contour,
-                           note="printed clockwise; closed forms require counterclockwise")
+    return _printed_clockwise("hahn_type1", pref, integrand, poles_in, poles_out, region)
 
 
 def _prod_poch(bases, orders, z, plus: bool):
@@ -228,18 +219,13 @@ def _meixner2_integral(params: MeixnerII, kind, n, x, i):
         pref = float(prefq * params.c ** x) / math.factorial(x)
         poles_in = tuple(p for cl in clusters for p in cl)
         poles_out = (complex(-x - 1),)
-        contour = _cluster_circle(poles_in, poles_out, region)
-        return ContourIntegral("meixner2_linear_form", pref, integrand, poles_in, poles_out,
-                               region, "clockwise", "counterclockwise", contour,
-                               note="printed clockwise; closed forms require counterclockwise")
+        return _printed_clockwise("meixner2_linear_form", pref, integrand, poles_in, poles_out,
+                                  region)
     bi = params.beta[i - 1]
     pref = float(prefq / pochhammer(bi, x))
     poles_in, poles_out = _type1_pole_split(clusters, i)
     poles_out = poles_out + (complex(-x - 1),)
-    contour = _cluster_circle(poles_in, poles_out, region)
-    return ContourIntegral("meixner2_type1", pref, integrand, poles_in, poles_out,
-                           region, "clockwise", "counterclockwise", contour,
-                           note="printed clockwise; closed forms require counterclockwise")
+    return _printed_clockwise("meixner2_type1", pref, integrand, poles_in, poles_out, region)
 
 
 def _meixner1_integral(params: MeixnerI, kind, n, x, i):
@@ -248,21 +234,20 @@ def _meixner1_integral(params: MeixnerI, kind, n, x, i):
     sz = n.size
     nj = n.entries
 
+    prefq = Fraction(1)
+    for cj, m in zip(params.c, nj):
+        prefq *= (1 - cj) ** m
+
     if kind == "type2":
         def integrand(s, lib=_NP):
             out = lib.exp(-(sz + be) * lib.log(1 - s)) / s ** (x + 1)
             for cj, m in zip(cs, nj):
                 out = out * (s - cj) ** m
             return out
-        prefq = Fraction(1)
-        for cj, m in zip(params.c, nj):
-            prefq *= (1 - cj) ** m
         pref = math.exp(math.lgamma(be + sz) + _lgf(x) - math.lgamma(x + be)) / float(prefq)
-        poles_in = (0j,)
         poles_out = (1 + 0j,)  # branch point of (1-s)^{-|n|-beta}
-        radius = 0.5 * min(min(cs), 1.0)
-        contour = ContourSpec("circle", "counterclockwise", 0j, radius)
-        return ContourIntegral("meixner1_type2", pref, integrand, poles_in, poles_out,
+        contour = ContourSpec("circle", "counterclockwise", 0j, 0.5 * min(min(cs), 1.0))
+        return ContourIntegral("meixner1_type2", pref, integrand, (0j,), poles_out,
                                ("re_lt", 1.0), "clockwise", "counterclockwise", contour,
                                note="printed clockwise; closed forms require counterclockwise. "
                                     "Stated for x in N; x = 0 validates too (adjudicated)")
@@ -273,25 +258,15 @@ def _meixner1_integral(params: MeixnerI, kind, n, x, i):
             out = out / (t - cj) ** m
         return out
 
-    prefq = Fraction(1)
-    for cj, m in zip(params.c, nj):
-        prefq *= (1 - cj) ** m
     region = ("strip", 0.0, 1.0)
     if kind == "linear_form":
         pref = float(prefq) * math.exp(math.lgamma(x + be) - _lgf(x) - math.lgamma(be + sz - 1))
         poles_in = tuple(complex(cj) for cj in cs)
-        contour = _cluster_circle(poles_in, (), region)
-        return ContourIntegral("meixner1_linear_form", pref, integrand, poles_in, (),
-                               region, "clockwise", "counterclockwise", contour,
-                               note="printed clockwise; closed forms require counterclockwise")
+        return _printed_clockwise("meixner1_linear_form", pref, integrand, poles_in, (), region)
     ci = params.c[i - 1]
     pref = float(prefq / pochhammer(params.beta0, sz - 1) / ci ** x)
-    poles_in = (complex(cs[i - 1]),)
-    poles_out = tuple(complex(cj) for j, cj in enumerate(cs, start=1) if j != i)
-    contour = _cluster_circle(poles_in, poles_out, region)
-    return ContourIntegral("meixner1_type1", pref, integrand, poles_in, poles_out,
-                           region, "clockwise", "counterclockwise", contour,
-                           note="printed clockwise; closed forms require counterclockwise")
+    poles_in, poles_out = _type1_pole_split([(complex(cj),) for cj in cs], i)
+    return _printed_clockwise("meixner1_type1", pref, integrand, poles_in, poles_out, region)
 
 
 def _kravchuk_integral(params: Kravchuk, kind, n, x, i):
@@ -300,21 +275,19 @@ def _kravchuk_integral(params: Kravchuk, kind, n, x, i):
     nj = n.entries
     ts = [q / (1 - q) for q in ps]
 
+    prefq = Fraction(1)
+    for q, m in zip(params.p_success, nj):
+        prefq *= (1 - q) ** m
+
     if kind == "type2":
         def integrand(s, lib=_NP):
             out = (1 + s) ** (N - sz) / s ** (x + 1)
             for tj, m in zip(ts, nj):
                 out = out * (s - tj) ** m
             return out
-        prefq = Fraction(1)
-        for q, m in zip(params.p_success, nj):
-            prefq *= (1 - q) ** m
         pref = float(prefq) * math.factorial(x) * math.factorial(N - x) / math.factorial(N - sz)
-        poles_in = (0j,)
-        poles_out = ()
-        radius = 0.5 * min(min(ts), 1.0)
-        contour = ContourSpec("circle", "counterclockwise", 0j, radius)
-        return ContourIntegral("kravchuk_type2", pref, integrand, poles_in, poles_out,
+        contour = ContourSpec("circle", "counterclockwise", 0j, 0.5 * min(min(ts), 1.0))
+        return ContourIntegral("kravchuk_type2", pref, integrand, (0j,), (),
                                None, "counterclockwise", "counterclockwise", contour)
 
     def integrand(t, lib=_NP):
@@ -323,28 +296,20 @@ def _kravchuk_integral(params: Kravchuk, kind, n, x, i):
             out = out / (t - tj) ** m
         return out
 
-    prefq = Fraction(1)
-    for q, m in zip(params.p_success, nj):
-        prefq *= (1 - q) ** m
     region = ("re_gt", 0.0)
     if kind == "linear_form":
         pref = math.factorial(N - sz + 1) / float(prefq) / (
             math.factorial(x) * math.factorial(N - x))
         poles_in = tuple(complex(t) for t in ts)
         poles_out = (-1 + 0j,)
-        contour = _cluster_circle(poles_in, poles_out, region)
-        return ContourIntegral("kravchuk_linear_form", pref, integrand, poles_in, poles_out,
-                               region, "clockwise", "counterclockwise", contour,
-                               note="printed clockwise; closed forms require counterclockwise")
+        return _printed_clockwise("kravchuk_linear_form", pref, integrand, poles_in, poles_out,
+                                  region)
     qi = params.p_success[i - 1]
     pref = math.factorial(N - sz + 1) / math.factorial(N) / float(prefq) \
         / float(qi ** x * (1 - qi) ** (N - x))
-    poles_in = (complex(ts[i - 1]),)
-    poles_out = tuple(complex(t) for j, t in enumerate(ts, start=1) if j != i) + (-1 + 0j,)
-    contour = _cluster_circle(poles_in, poles_out, region)
-    return ContourIntegral("kravchuk_type1", pref, integrand, poles_in, poles_out,
-                           region, "clockwise", "counterclockwise", contour,
-                           note="printed clockwise; closed forms require counterclockwise")
+    poles_in, poles_out = _type1_pole_split([(complex(t),) for t in ts], i)
+    poles_out = poles_out + (-1 + 0j,)
+    return _printed_clockwise("kravchuk_type1", pref, integrand, poles_in, poles_out, region)
 
 
 def _charlier_integral(params: Charlier, kind, n, x, i):
@@ -359,11 +324,8 @@ def _charlier_integral(params: Charlier, kind, n, x, i):
                 out = out * (s - aj) ** m
             return out
         pref = float(math.factorial(x))
-        poles_in = (0j,)
-        poles_out = ()
-        radius = 0.5 * min(min(a), 1.0)
-        contour = ContourSpec("circle", "counterclockwise", 0j, radius)
-        return ContourIntegral("charlier_type2", pref, integrand, poles_in, poles_out,
+        contour = ContourSpec("circle", "counterclockwise", 0j, 0.5 * min(min(a), 1.0))
+        return ContourIntegral("charlier_type2", pref, integrand, (0j,), (),
                                None, "clockwise", "counterclockwise", contour,
                                note="printed clockwise in the strip 0<Re(s)<1 (unsatisfiable "
                                     "around the origin); validated: counterclockwise, only "
@@ -376,46 +338,45 @@ def _charlier_integral(params: Charlier, kind, n, x, i):
         return out
 
     region = ("re_gt", 0.0)
+    note = ("printed clockwise in 0<Re(t)<1, which cannot enclose "
+            "a_j >= 1; validated: counterclockwise in Re(t) > 0")
     if kind == "linear_form":
         pref = 1.0 / math.factorial(x)
         poles_in = tuple(complex(aj) for aj in a)
-        contour = _cluster_circle(poles_in, (), region)
-        return ContourIntegral("charlier_linear_form", pref, integrand, poles_in, (),
-                               region, "clockwise", "counterclockwise", contour,
-                               note="printed clockwise in 0<Re(t)<1, which cannot enclose "
-                                    "a_j >= 1; validated: counterclockwise in Re(t) > 0")
+        return _printed_clockwise("charlier_linear_form", pref, integrand, poles_in, (), region,
+                                  note)
     ai = params.a[i - 1]
     pref = 1.0 / float(ai**x)
-    poles_in = (complex(a[i - 1]),)
-    poles_out = tuple(complex(aj) for j, aj in enumerate(a, start=1) if j != i)
-    contour = _cluster_circle(poles_in, poles_out, region)
-    return ContourIntegral("charlier_type1", pref, integrand, poles_in, poles_out,
-                           region, "clockwise", "counterclockwise", contour,
-                           note="printed clockwise in 0<Re(t)<1, which cannot enclose "
-                                "a_j >= 1; validated: counterclockwise in Re(t) > 0")
+    poles_in, poles_out = _type1_pole_split([(complex(aj),) for aj in a], i)
+    return _printed_clockwise("charlier_type1", pref, integrand, poles_in, poles_out, region,
+                              note)
+
+
+_INTEGRALS = {"hahn": _hahn_integral, "meixner2": _meixner2_integral,
+              "meixner1": _meixner1_integral, "kravchuk": _kravchuk_integral,
+              "charlier": _charlier_integral}
 
 
 def contour_quadrature(rep: ContourIntegral, contour: ContourSpec | None = None,
-                       nodes: int = 256, precision: str | None = None) -> QuadratureResult:
+                       nodes: int = 256, precision: str = "double") -> QuadratureResult:
     """Validate the contour geometrically and evaluate the representation.
 
     ``precision`` is "double" (vectorized, default) or "extended" (mpmath with
-    a >= 64-bit mantissa for ill-conditioned parameter choices); unset, it
-    follows the MOPOLY_PRECISION environment variable.  The prefactor is
-    always assembled in double precision, so extended mode improves the
-    conditioning of the quadrature itself, not the final rounding.
+    a >= 64-bit mantissa for ill-conditioned parameter choices).  The
+    prefactor is always assembled in double precision, so extended mode
+    improves the conditioning of the quadrature itself, not the final
+    rounding.
     """
     spec = contour if contour is not None else rep.default_contour(nodes)
     if contour is None and nodes != spec.nodes:
         spec = spec.with_nodes(nodes)
     validate_enclosure(spec, rep.poles_inside, rep.poles_outside, rep.region)
-    mode = precision or os.environ.get("MOPOLY_PRECISION", "double")
-    if mode == "double":
+    if precision == "double":
         res = quadrature(rep.integrand, spec)
-    elif mode == "extended":
+    elif precision == "extended":
         res = _quadrature_extended(rep.integrand, spec)
     else:
-        raise ValueError(f"unknown precision mode {mode!r}")
+        raise ValueError(f"unknown precision mode {precision!r}")
     return QuadratureResult(rep.prefactor * res.value,
                             abs(rep.prefactor) * res.error_estimate, res.nodes)
 

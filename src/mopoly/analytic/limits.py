@@ -83,30 +83,40 @@ def _log_fraction(q: Fraction):
     return mpmath.log(mpmath.mpf(q.numerator)) - mpmath.log(mpmath.mpf(q.denominator))
 
 
+def _log_weight_hahn(params, i, xm):
+    a, b, N = _mpf(params.alpha[i - 1]), _mpf(params.beta), params.N
+    return (mpmath.loggamma(a + xm + 1) - mpmath.loggamma(a + 1)
+            - mpmath.loggamma(xm + 1) + mpmath.loggamma(b + N - xm + 1)
+            - mpmath.loggamma(b + 1) - mpmath.loggamma(N - xm + 1))
+
+def _log_weight_meixner2(params, i, xm):
+    b = _mpf(params.beta[i - 1])
+    return (mpmath.loggamma(b + xm) - mpmath.loggamma(b) - mpmath.loggamma(xm + 1)
+            + xm * _log_fraction(params.c))
+
+def _log_weight_meixner1(params, i, xm):
+    b = _mpf(params.beta0)
+    return (mpmath.loggamma(b + xm) - mpmath.loggamma(b) - mpmath.loggamma(xm + 1)
+            + xm * _log_fraction(params.c[i - 1]))
+
+def _log_weight_kravchuk(params, i, xm):
+    q, N = params.p_success[i - 1], params.N
+    return (mpmath.loggamma(N + 1) - mpmath.loggamma(xm + 1)
+            - mpmath.loggamma(N - xm + 1) + xm * _log_fraction(q)
+            + (N - xm) * _log_fraction(1 - q))
+
+def _log_weight_charlier(params, i, xm):
+    return xm * _log_fraction(params.a[i - 1]) - mpmath.loggamma(xm + 1)
+
+
+_LOG_WEIGHTS = {"hahn": _log_weight_hahn, "meixner2": _log_weight_meixner2,
+                "meixner1": _log_weight_meixner1, "kravchuk": _log_weight_kravchuk,
+                "charlier": _log_weight_charlier}
+
+
 def _log_weight(params: FamilyParams, i: int, x: int):
     """log w_i(x) via log-gamma; usable at support points far beyond exact range."""
-    xm = mpmath.mpf(x)
-    if isinstance(params, Hahn):
-        a, b, N = _mpf(params.alpha[i - 1]), _mpf(params.beta), params.N
-        return (mpmath.loggamma(a + xm + 1) - mpmath.loggamma(a + 1)
-                - mpmath.loggamma(xm + 1) + mpmath.loggamma(b + N - xm + 1)
-                - mpmath.loggamma(b + 1) - mpmath.loggamma(N - xm + 1))
-    if isinstance(params, MeixnerII):
-        b = _mpf(params.beta[i - 1])
-        return (mpmath.loggamma(b + xm) - mpmath.loggamma(b) - mpmath.loggamma(xm + 1)
-                + xm * _log_fraction(params.c))
-    if isinstance(params, MeixnerI):
-        b = _mpf(params.beta0)
-        return (mpmath.loggamma(b + xm) - mpmath.loggamma(b) - mpmath.loggamma(xm + 1)
-                + xm * _log_fraction(params.c[i - 1]))
-    if isinstance(params, Kravchuk):
-        q, N = params.p_success[i - 1], params.N
-        return (mpmath.loggamma(N + 1) - mpmath.loggamma(xm + 1)
-                - mpmath.loggamma(N - xm + 1) + xm * _log_fraction(q)
-                + (N - xm) * _log_fraction(1 - q))
-    if isinstance(params, Charlier):
-        return xm * _log_fraction(params.a[i - 1]) - mpmath.loggamma(xm + 1)
-    raise TypeError(f"unknown family {params!r}")
+    return _LOG_WEIGHTS[params.family](params, i, mpmath.mpf(x))
 
 
 @dataclass(frozen=True)
@@ -187,22 +197,14 @@ def _edge_source(edge: str, target: FamilyParams, t) -> FamilyParams:
 def _discrete_weight_error(edge, target, t, i, x) -> float:
     src = _edge_source(edge, target, t)
     with mpmath.workdps(_DPS):
-        if edge == "h_m2":
-            c = target.c
+        if edge in ("h_m2", "h_m1"):
+            # Meixner II has one c; Meixner I's c_i meets the reflected point N - x
+            c, point = (target.c, x) if edge == "h_m2" else (target.c[i - 1], int(t) - x)
             log_scale = (mpmath.mpf(0.5) * mpmath.log(2 * mpmath.pi * int(t))
                          + int(t) * _log_fraction(c)
                          + (_mpf((1 - c) / c) * int(t) + mpmath.mpf(0.5))
                          * _log_fraction(1 - c))
-            lw_src = _log_weight(src, i, x)
-            lw_tgt = _log_weight(target, i, x)
-            return float(abs(mpmath.expm1(log_scale + lw_src - lw_tgt)))
-        if edge == "h_m1":
-            ci = target.c[i - 1]
-            log_scale = (mpmath.mpf(0.5) * mpmath.log(2 * mpmath.pi * int(t))
-                         + int(t) * _log_fraction(ci)
-                         + (_mpf((1 - ci) / ci) * int(t) + mpmath.mpf(0.5))
-                         * _log_fraction(1 - ci))
-            lw_src = _log_weight(src, i, int(t) - x)
+            lw_src = _log_weight(src, i, point)
             lw_tgt = _log_weight(target, i, x)
             return float(abs(mpmath.expm1(log_scale + lw_src - lw_tgt)))
         if edge == "h_k":
@@ -412,37 +414,40 @@ def laguerre2_recurrence(alpha0, cs, n: MultiIndex, perm: Permutation):
     return tuple(b0), tuple(bj)
 
 
+# each Hermite route at scale s = 2m: raw b0 and b^j, the centre of b0, the scale
+
+def _kravchuk_route(cs, n, perm, s, m):
+    N = 2 * m * m
+    raw = nnrc(Kravchuk(tuple(Fraction(1, 2) + ci / (2 * s) for ci in cs), N), n, perm)
+    return raw.b0, raw.bj, Fraction(N, 2), Fraction(2, s)
+
+
+def _charlier_route(cs, n, perm, s, m):
+    beta = 2 * m * m
+    raw = nnrc(Charlier(tuple(beta + ci * m for ci in cs)), n, perm)
+    return raw.b0, raw.bj, beta, Fraction(1, s)
+
+
+def _laguerre2_route(cs, n, perm, s, m):
+    beta = 2 * m * m
+    rb0, rbj = laguerre2_recurrence(beta, [1 - ci / s for ci in cs], n, perm)
+    return rb0, rbj, beta, Fraction(1, s)
+
+
+_HERMITE_ROUTES = {"kravchuk": _kravchuk_route, "charlier": _charlier_route,
+                   "laguerre2": _laguerre2_route}
+
+
 def _hermite_route_values(route: str, cs, n: MultiIndex, perm: Permutation, s: int):
     """Scaled recurrence coefficients of one route at scale s = 2m (exact)."""
     m = s // 2
     if s % 2:
         raise ValueError("route scales must be even integers")
-    cs = [rat(c) for c in cs]
-    if route == "kravchuk":
-        N = 2 * m * m
-        params = Kravchuk(tuple(Fraction(1, 2) + ci / (2 * s) for ci in cs), N)
-        raw = nnrc(params, n, perm)
-        half = Fraction(N, 2)
-        scale = Fraction(2, s)
-        b0 = tuple(scale * (v - half) for v in raw.b0)
-        bj = tuple(scale ** (j + 1) * v for j, v in enumerate(raw.bj, start=1))
-        return b0 + bj
-    if route == "charlier":
-        beta = 2 * m * m
-        params = Charlier(tuple(beta + ci * m for ci in cs))
-        raw = nnrc(params, n, perm)
-        scale = Fraction(1, s)
-        b0 = tuple(scale * (v - beta) for v in raw.b0)
-        bj = tuple(scale ** (j + 1) * v for j, v in enumerate(raw.bj, start=1))
-        return b0 + bj
-    if route == "laguerre2":
-        beta = 2 * m * m
-        rb0, rbj = laguerre2_recurrence(beta, [1 - ci / s for ci in cs], n, perm)
-        scale = Fraction(1, s)
-        b0 = tuple(scale * (v - beta) for v in rb0)
-        bj = tuple(scale ** (j + 1) * v for j, v in enumerate(rbj, start=1))
-        return b0 + bj
-    raise ValueError(f"unknown Hermite route {route!r}")
+    if route not in _HERMITE_ROUTES:
+        raise ValueError(f"unknown Hermite route {route!r}")
+    b0, bj, centre, scale = _HERMITE_ROUTES[route]([rat(c) for c in cs], n, perm, s, m)
+    return (tuple(scale * (v - centre) for v in b0)
+            + tuple(scale ** (j + 1) * v for j, v in enumerate(bj, start=1)))
 
 
 def _neville_at_zero(us, vs) -> Fraction:

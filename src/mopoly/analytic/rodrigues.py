@@ -29,7 +29,7 @@ from ..errors import UnsupportedRepresentationError
 from ..exact.combinatorics import factorial, pochhammer
 from ..exact.indices import MultiIndex
 from ..exact.polynomials import Poly, lagrange_interpolate
-from ..families.params import Charlier, FamilyParams, Kravchuk, MeixnerI
+from ..families.params import FamilyParams
 from ..families.prefactors import PrefactoredPolynomial, PrefactorToken
 
 
@@ -105,6 +105,14 @@ def _linear_power(root, sign: int, m: int) -> Poly:
     return out
 
 
+def _other_poles(den: Poly, points, n: MultiIndex, i: int) -> Poly:
+    """den * prod_{j != i} (v - t_j)^{n_j}."""
+    for j, (tj, m) in enumerate(zip(points, n), start=1):
+        if j != i:
+            den = den * _linear_power(-tj, 1, m)
+    return den
+
+
 def _derive(kernel: RationalFunc, dlog, times: int) -> RationalFunc:
     for _ in range(times):
         kernel = kernel.derivative() + kernel * dlog if dlog is not None \
@@ -121,75 +129,64 @@ def rodrigues_type1(params: FamilyParams, n: MultiIndex, i: int) -> PrefactoredP
     points x = 0..n_i-1 and re-verified on extra guard points.
     """
     n = MultiIndex.of(n)
-    if not isinstance(params, (Charlier, MeixnerI, Kravchuk)):
+    if params.family not in _VALUES:
         raise UnsupportedRepresentationError(
             f"no Rodrigues-type formula implemented for family {params.family}")
     ni = n[i - 1]
     if ni < 1:
         return PrefactoredPolynomial(PrefactorToken.one(), Poly.zero())
-    size = n.size
     guard = 3
-    xs = range(ni + guard)
-    values = [_rodrigues_value(params, n, i, x) for x in xs]
+    values = [_VALUES[params.family](params, n, i, x) for x in range(ni + guard)]
     poly = lagrange_interpolate(list(zip(range(ni), values[:ni])))
     for x in range(ni, ni + guard):
         if poly(x) != values[x]:
             raise AssertionError("Rodrigues values do not extend the interpolated "
                                  f"degree-{ni - 1} polynomial at x = {x}")
-    token = _rodrigues_token(params, n, i)
-    return PrefactoredPolynomial(token, poly)
+    return PrefactoredPolynomial(_TOKENS[params.family](params, n, i), poly)
 
 
-def _rodrigues_token(params, n, i) -> PrefactorToken:
-    size = n.size
-    if isinstance(params, Charlier):
-        return PrefactorToken.exp_neg(params.a[i - 1])
-    if isinstance(params, MeixnerI):
-        return PrefactorToken.pow_one_minus_ci(i, params.c[i - 1], params.beta0 + size - 1)
-    return PrefactorToken.one()
+_TOKENS = {
+    "charlier": lambda params, n, i: PrefactorToken.exp_neg(params.a[i - 1]),
+    "meixner1": lambda params, n, i: PrefactorToken.pow_one_minus_ci(
+        i, params.c[i - 1], params.beta0 + n.size - 1),
+    "kravchuk": lambda params, n, i: PrefactorToken.one(),
+}
 
 
-def _rodrigues_value(params, n: MultiIndex, i: int, x: int) -> Fraction:
-    """Exact value of the rational part of A^{(i)}(x) via the parameter derivative."""
+# the exact value of the rational part of A^{(i)}(x) via the parameter derivative
+
+def _charlier_value(params, n: MultiIndex, i: int, x: int) -> Fraction:
+    a = params.a
     ni = n[i - 1]
-    size = n.size
-    if isinstance(params, Charlier):
-        a = params.a
-        den = Poly.one()
-        for j, (aj, m) in enumerate(zip(a, n), start=1):
-            if j != i:
-                den = den * _linear_power(-aj, 1, m)
-        kernel = RationalFunc.of(_linear_power(Fraction(0), 1, x), den)
-        dlog = RationalFunc.of(Poly.constant(-1))
-        r = _derive(kernel, dlog, ni - 1)
-        return r(a[i - 1]) / (factorial(ni - 1) * a[i - 1] ** x)
+    kernel = RationalFunc.of(_linear_power(Fraction(0), 1, x), _other_poles(Poly.one(), a, n, i))
+    dlog = RationalFunc.of(Poly.constant(-1))
+    r = _derive(kernel, dlog, ni - 1)
+    return r(a[i - 1]) / (factorial(ni - 1) * a[i - 1] ** x)
 
-    if isinstance(params, MeixnerI):
-        beta, cs = params.beta0, params.c
-        gamma = size + beta - 2
-        den = Poly.one()
-        for j, (cj, m) in enumerate(zip(cs, n), start=1):
-            if j != i:
-                den = den * _linear_power(-cj, 1, m)
-        kernel = RationalFunc.of(_linear_power(Fraction(0), 1, x), den)
-        dlog = RationalFunc.of(Poly.constant(-gamma), Poly([1, -1]))  # -gamma/(1-v)
-        r = _derive(kernel, dlog, ni - 1)
-        ci = cs[i - 1]
-        front = Fraction(1)
-        for cj, m in zip(cs, n):
-            front *= (1 - cj) ** m
-        front /= factorial(ni - 1) * pochhammer(beta, size - 1) * ci**x
-        # (1-c_i)^{gamma} = (1-c_i)^{|n|-2} * (1-c_i)^{beta}; the token carries
-        # (1-c_i)^{beta+|n|-1}, leaving an exact factor (1-c_i)^{-1}
-        return front * r(ci) * (1 - ci) ** (size - 2) / (1 - ci) ** (size - 1)
 
-    # Kravchuk: purely rational kernel (1+v)^{|n|-N-2} v^x / prod (v - t_j)^{n_j}
+def _meixner1_value(params, n: MultiIndex, i: int, x: int) -> Fraction:
+    beta, cs = params.beta0, params.c
+    ni, size = n[i - 1], n.size
+    gamma = size + beta - 2
+    kernel = RationalFunc.of(_linear_power(Fraction(0), 1, x), _other_poles(Poly.one(), cs, n, i))
+    dlog = RationalFunc.of(Poly.constant(-gamma), Poly([1, -1]))  # -gamma/(1-v)
+    r = _derive(kernel, dlog, ni - 1)
+    ci = cs[i - 1]
+    front = Fraction(1)
+    for cj, m in zip(cs, n):
+        front *= (1 - cj) ** m
+    front /= factorial(ni - 1) * pochhammer(beta, size - 1) * ci**x
+    # (1-c_i)^{gamma} = (1-c_i)^{|n|-2} * (1-c_i)^{beta}; the token carries
+    # (1-c_i)^{beta+|n|-1}, leaving an exact factor (1-c_i)^{-1}
+    return front * r(ci) * (1 - ci) ** (size - 2) / (1 - ci) ** (size - 1)
+
+
+def _kravchuk_value(params, n: MultiIndex, i: int, x: int) -> Fraction:
+    # purely rational kernel (1+v)^{|n|-N-2} v^x / prod (v - t_j)^{n_j}
     ps, N = params.p_success, params.N
+    ni, size = n[i - 1], n.size
     ts = [q / (1 - q) for q in ps]
-    den = _linear_power(Fraction(1), 1, N + 2 - size)
-    for j, (tj, m) in enumerate(zip(ts, n), start=1):
-        if j != i:
-            den = den * _linear_power(-tj, 1, m)
+    den = _other_poles(_linear_power(Fraction(1), 1, N + 2 - size), ts, n, i)
     kernel = RationalFunc.of(_linear_power(Fraction(0), 1, x), den)
     r = _derive(kernel, None, ni - 1)
     qi = ps[i - 1]
@@ -198,3 +195,7 @@ def _rodrigues_value(params, n: MultiIndex, i: int, x: int) -> Fraction:
         front /= (1 - q) ** m
     front /= qi**x * (1 - qi) ** (N - x)
     return front * r(ts[i - 1])
+
+
+_VALUES = {"charlier": _charlier_value, "meixner1": _meixner1_value,
+           "kravchuk": _kravchuk_value}

@@ -15,11 +15,11 @@ import os
 import sys
 from fractions import Fraction
 
-from .errors import MopolyError
+from .errors import MopolyError, ParameterError
 from .exact.indices import MultiIndex, Permutation
 from .exact.rationals import rat, rat_to_str
 from .families.closed_forms import linear_form, type1, type2
-from .families.params import FAMILY_NAMES, Charlier, Hahn, Kravchuk, MeixnerI, MeixnerII, params_from_json
+from .families.params import FAMILIES, FAMILY_NAMES, params_from_json
 from .families.recurrence import nnrc
 from .oracle.moments import normalized_moments, validate_closed_form
 from . import verify
@@ -62,17 +62,16 @@ def _build_params(args):
     fam = args.family
     if fam is None:
         raise MopolyError("missing --family (or --params-json/--params-file)")
-    if fam == "hahn":
-        return Hahn(args.alpha, args.beta[0], args.N)
-    if fam == "meixner2":
-        return MeixnerII(args.beta, args.c[0])
-    if fam == "meixner1":
-        return MeixnerI(args.beta[0], args.c)
-    if fam == "kravchuk":
-        return Kravchuk(args.pi, args.N)
-    if fam == "charlier":
-        return Charlier(args.a)
-    raise MopolyError(f"unknown family {fam!r}")
+    if fam not in FAMILIES:
+        raise ParameterError(f"unknown family {fam!r}")
+    # the family flags carry the JSON field names
+    obj = {"family": fam}
+    for key, shape in FAMILIES[fam].json_fields.items():
+        value = getattr(args, key)
+        if value is None:
+            raise ParameterError(f"missing --{key} for family {fam!r}")
+        obj[key] = value[0] if shape == "scalar" and len(value) == 1 else value
+    return params_from_json(obj)
 
 
 def _emit(payload: dict, summary: str, passed: bool = True) -> int:
@@ -186,7 +185,12 @@ def _cmd_moments(args) -> int:
     return _emit(payload, f"moments {params.family} i={args.i} jmax={args.jmax}", passed)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
+    """The CLI parser; ``config`` maps flag names to defaults (flags still win).
+
+    String defaults go through each flag's ``type`` when argparse applies
+    them, so a bad value in a config file is a usage error.
+    """
     parser = argparse.ArgumentParser(
         prog="mopoly",
         description="discrete multiple orthogonal polynomials: evaluation and "
@@ -240,22 +244,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_m.add_argument("--validate", action="store_true",
                      help="check closed forms against a truncated direct sum")
     p_m.set_defaults(fn=_cmd_moments)
+    defaults = {key.replace("-", "_"): value for key, value in (config or {}).items()}
+    for subparser in (p_eval, p_recur, p_verify, p_limits, p_m):
+        subparser.set_defaults(**defaults)
     return parser
 
 
 def run(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        argv = _apply_config_defaults(parser, argv)
-        args = parser.parse_args(argv)
+        argv, config = _split_config(argv)
+        args = build_parser(config).parse_args(argv)
     except SystemExit as exc:
         return EXIT_BAD_INPUT if exc.code not in (0, None) else 0
     except (OSError, json.JSONDecodeError, MopolyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_BAD_INPUT
-    if args.precision:
-        os.environ["MOPOLY_PRECISION"] = args.precision
     try:
         return args.fn(args)
     except (MopolyError, ValueError, TypeError, KeyError, OSError,
@@ -264,10 +268,10 @@ def run(argv=None) -> int:
         return EXIT_BAD_INPUT
 
 
-def _apply_config_defaults(parser: argparse.ArgumentParser, argv: list) -> list:
-    """Honor --config FILE: a JSON object of flag defaults (flags still win)."""
+def _split_config(argv: list):
+    """Take --config FILE (a JSON object of flag defaults) out of argv."""
     if "--config" not in argv:
-        return argv
+        return argv, None
     at = argv.index("--config")
     try:
         path = argv[at + 1]
@@ -277,19 +281,7 @@ def _apply_config_defaults(parser: argparse.ArgumentParser, argv: list) -> list:
         config = json.load(fh)
     if not isinstance(config, dict):
         raise MopolyError("config file must hold a JSON object of flag defaults")
-    del argv[at:at + 2]
-    defaults = {key.replace("-", "_"): value for key, value in config.items()}
-    for action in parser._subparsers._group_actions:
-        for sub in action.choices.values():
-            sub.set_defaults(**{k: _coerce_flag(sub, k, v) for k, v in defaults.items()})
-    return argv
-
-
-def _coerce_flag(subparser, dest: str, value):
-    for action in subparser._actions:
-        if action.dest == dest and action.type is not None and isinstance(value, str):
-            return action.type(value)
-    return value
+    return argv[:at] + argv[at + 2:], config
 
 
 def main() -> None:

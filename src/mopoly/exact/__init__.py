@@ -10,7 +10,7 @@ from .hypergeometric import HypSeriesSpec, eval_kampe_de_feriet, eval_pfq_termin
 from .identities import IDENTITY_NAMES, IdentityReport, hahn_sum_coefficient, verify_identity
 from .indices import MultiIndex, Permutation, all_permutations, multi_indices, step_sets
 from .polynomials import NEG_INF, Poly, expand_in_monomials, lagrange_interpolate
-from .rationals import Rational, log_fraction, rat, rat_to_str
+from .rationals import rat, rat_to_str
 
 __all__ = [
     "binomial", "factorial", "falling_factorial", "is_nonpositive_int",
@@ -19,5 +19,5 @@ __all__ = [
     "IDENTITY_NAMES", "IdentityReport", "hahn_sum_coefficient", "verify_identity",
     "MultiIndex", "Permutation", "all_permutations", "multi_indices", "step_sets",
     "NEG_INF", "Poly", "expand_in_monomials", "lagrange_interpolate",
-    "Rational", "log_fraction", "rat", "rat_to_str",
+    "rat", "rat_to_str",
 ]

@@ -9,10 +9,7 @@ boundary it is serialized as the string ``"num/den"``, e.g. ``"15/8"`` or
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-
-Rational = Fraction
 
 
 def rat(value) -> Fraction:
@@ -31,9 +28,3 @@ def rat_to_str(q) -> str:
     q = Fraction(q)
     return f"{q.numerator}/{q.denominator}"
 
-
-def log_fraction(q: Fraction) -> float:
-    """Natural log of a positive rational, safe for values far outside float range."""
-    if q <= 0:
-        raise ValueError("log_fraction requires a positive rational")
-    return math.log(q.numerator) - math.log(q.denominator)

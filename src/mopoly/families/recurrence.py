@@ -5,9 +5,10 @@ The (p+2)-term recurrence
     x B_n(x) = B_{n+e_k}(x) + b0_n(k) B_n(x) + sum_{j=1}^p b^j_n B_{n-s_j}(x)
 
 has coefficients b0_n(k) independent of the permutation and b^j_n built from
-the step sets S(pi, j).  Every denominator is validated before use; a
-vanishing factor raises SingularDenominatorError naming it (the AT conditions
-rule this out for valid parameters).
+the step sets S(pi, j); each family's formulas are its ``b0`` and ``bj``
+methods.  Every denominator is validated before use; a vanishing factor
+raises SingularDenominatorError naming it (the AT conditions rule this out
+for valid parameters).
 """
 
 from __future__ import annotations
@@ -15,10 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ..errors import SingularDenominatorError
-from ..exact.combinatorics import pochhammer
 from ..exact.indices import MultiIndex, Permutation, step_sets
-from .params import Charlier, FamilyParams, Hahn, Kravchuk, MeixnerI, MeixnerII
+from .params import FamilyParams
 
 
 @dataclass(frozen=True)
@@ -30,12 +29,6 @@ class RecurrenceCoefficients:
     permutation: Permutation
 
 
-def _div(num: Fraction, den: Fraction, what: str) -> Fraction:
-    if den == 0:
-        raise SingularDenominatorError(f"vanishing factor {what}")
-    return num / den
-
-
 def nnrc(params: FamilyParams, n: MultiIndex, perm: Permutation | None = None) -> RecurrenceCoefficients:
     """Exact recurrence coefficients for multi-index n and permutation perm."""
     n = MultiIndex.of(n)
@@ -43,159 +36,6 @@ def nnrc(params: FamilyParams, n: MultiIndex, perm: Permutation | None = None) -
         perm = Permutation.identity(params.p)
     if perm.p != params.p or n.p != params.p:
         raise ValueError("permutation / multi-index length mismatch")
-    b0 = tuple(_b0(params, n, k) for k in range(1, params.p + 1))
-    bj = tuple(_bj(params, n, perm, j) for j in range(1, params.p + 1))
+    b0 = tuple(params.b0(n, k) for k in range(1, params.p + 1))
+    bj = tuple(params.bj(n, j, *step_sets(perm, j)[1:]) for j in range(1, params.p + 1))
     return RecurrenceCoefficients(b0, bj, perm)
-
-
-def _b0(params: FamilyParams, n: MultiIndex, k: int) -> Fraction:
-    p, sz = params.p, n.size
-    if isinstance(params, Hahn):
-        al, be, N = params.alpha, params.beta, params.N
-        ak, nk = al[k - 1], n[k - 1]
-        prod = Fraction(1)
-        for q in range(p):
-            prod *= _div(ak - al[q] + nk + 1, ak - al[q] + nk + 1 - n[q],
-                         f"alpha_{k}-alpha_{q+1}+n_{k}+1-n_{q+1}")
-        first = (ak + nk + 1) * (
-            _div(ak + be + nk + N + 2, ak + be + nk + sz + 2,
-                 f"alpha_{k}+beta+n_{k}+|n|+2") * prod - 1)
-        second = Fraction(0)
-        for i in range(1, p + 1):
-            ai, ni = al[i - 1], n[i - 1]
-            num = (ai + ni) * (ai + be + ni + N + 1)
-            den = (ai - ak - nk - 1 + ni) * pochhammer(ai + be + ni + sz, 2)
-            term = _div(num, den, f"(alpha_{i}-alpha_{k}-n_{k}-1+n_{i})(alpha_{i}+beta+n_{i}+|n|)_2")
-            for q in range(p):
-                term *= ai - al[q] + ni
-                if q != i - 1:
-                    term = term / _nonzero(ai - al[q] - n[q] + ni,
-                                           f"alpha_{i}-alpha_{q+1}-n_{q+1}+n_{i}")
-            second += term
-        return first + (ak + be + nk + sz + 1) * second
-
-    if isinstance(params, MeixnerII):
-        be, c = params.beta, params.c
-        bk, nk = be[k - 1], n[k - 1]
-        prod = Fraction(1)
-        for q in range(p):
-            prod *= _div(bk - be[q] + nk + 1, bk - be[q] + nk + 1 - n[q],
-                         f"beta_{k}-beta_{q+1}+n_{k}+1-n_{q+1}")
-        first = (bk + nk) * (prod / (1 - c) - 1)
-        second = Fraction(0)
-        for i in range(1, p + 1):
-            bi, ni = be[i - 1], n[i - 1]
-            term = _div(bi + ni - 1, bi - bk - nk - 1 + ni,
-                        f"beta_{i}-beta_{k}-n_{k}-1+n_{i}")
-            for q in range(p):
-                term *= bi - be[q] + ni
-                if q != i - 1:
-                    term = term / _nonzero(bi - be[q] - n[q] + ni,
-                                           f"beta_{i}-beta_{q+1}-n_{q+1}+n_{i}")
-            second += term
-        return first + second / (1 - c)
-
-    if isinstance(params, MeixnerI):
-        be, cs = params.beta0, params.c
-        ck = cs[k - 1]
-        out = (be + sz) * ck / (1 - ck)
-        for i in range(p):
-            out += Fraction(n[i]) / (1 - cs[i])
-        return out
-
-    if isinstance(params, Kravchuk):
-        ps, N = params.p_success, params.N
-        out = (N - sz) * ps[k - 1]
-        for i in range(p):
-            out += n[i] * (1 - ps[i])
-        return out
-
-    if isinstance(params, Charlier):
-        return params.a[k - 1] + sz
-
-    raise TypeError(f"unknown family {params!r}")
-
-
-def _nonzero(v: Fraction, what: str) -> Fraction:
-    if v == 0:
-        raise SingularDenominatorError(f"vanishing factor {what}")
-    return v
-
-
-def _bj(params: FamilyParams, n: MultiIndex, perm: Permutation, j: int) -> Fraction:
-    p, sz = params.p, n.size
-    _, S, Sc = step_sets(perm, j)
-
-    if isinstance(params, Hahn):
-        al, be, N = params.alpha, params.beta, params.N
-        front = pochhammer(N - sz + 1, j) * pochhammer(be + 1 + sz - j, j)
-        for q in Sc:
-            front = front / _nonzero(al[q - 1] + be + sz - j + n[q - 1],
-                                     f"alpha_{q}+beta+|n|-j+n_{q}")
-        for q in range(p):
-            front *= _div(pochhammer(al[q] + be + sz - j + 1, n[q]),
-                          pochhammer(al[q] + be + sz + 1, n[q]),
-                          f"(alpha_{q+1}+beta+|n|+1)_{{n_{q+1}}}")
-        acc = Fraction(0)
-        for i in S:
-            ai, ni = al[i - 1], n[i - 1]
-            term = _div((ai + ni) * (ai + be + ni + N + 1),
-                        pochhammer(ai + be + ni + sz - j, j + 2),
-                        f"(alpha_{i}+beta+n_{i}+|n|-j)_{{j+2}}")
-            for q in range(p):
-                term *= ai - al[q] + ni
-            for q in S:
-                if q != i:
-                    term = term / _nonzero(ai - al[q - 1] - n[q - 1] + ni,
-                                           f"alpha_{i}-alpha_{q}-n_{q}+n_{i}")
-            acc += term
-        return front * acc
-
-    if isinstance(params, MeixnerII):
-        be, c = params.beta, params.c
-        acc = Fraction(0)
-        for i in S:
-            bi, ni = be[i - 1], n[i - 1]
-            term = bi + ni - 1
-            for q in range(p):
-                term *= bi - be[q] + ni
-            for q in S:
-                if q != i:
-                    term = term / _nonzero(bi - be[q - 1] - n[q - 1] + ni,
-                                           f"beta_{i}-beta_{q}-n_{q}+n_{i}")
-            acc += term
-        return c**j / (1 - c) ** (j + 1) * acc
-
-    if isinstance(params, MeixnerI):
-        be, cs = params.beta0, params.c
-        acc = Fraction(0)
-        for i in S:
-            ci, ni = cs[i - 1], n[i - 1]
-            term = ni * ci / (1 - ci) ** (j + 1)
-            for q in Sc:
-                term *= (ci - cs[q - 1]) / (1 - cs[q - 1])
-            acc += term
-        return pochhammer(be + sz - j, j) * acc
-
-    if isinstance(params, Kravchuk):
-        ps, N = params.p_success, params.N
-        acc = Fraction(0)
-        for i in S:
-            qi, ni = ps[i - 1], n[i - 1]
-            term = ni * qi * (1 - qi)
-            for q in Sc:
-                term *= qi - ps[q - 1]
-            acc += term
-        return pochhammer(N - sz + 1, j) * acc
-
-    if isinstance(params, Charlier):
-        a = params.a
-        acc = Fraction(0)
-        for i in S:
-            term = n[i - 1] * a[i - 1]
-            for q in Sc:
-                term *= a[i - 1] - a[q - 1]
-            acc += term
-        return acc
-
-    raise TypeError(f"unknown family {params!r}")

@@ -1,18 +1,9 @@
 """Weight functions and their symbolic total masses.
 
-All gamma ratios reduce to Pochhammer ratios so that rational parameters at
-integer support points produce exact rational weight values:
-
-* Hahn:        w_i(x) = (alpha_i+1)_x / x! * (beta+1)_{N-x} / (N-x)!
-* Meixner II:  w_i(x) = (beta_i)_x / x! * c^x
-* Meixner I:   w_i(x) = (beta)_x / x! * c_i^x
-* Kravchuk:    w_i(x) = C(N, x) pi_i^x (1-pi_i)^{N-x}
-* Charlier:    w_i(x) = a_i^x / x!
-
-The total mass m_0^{(i)} = sum_x w_i(x) is rational for the finite-support
-families and factors as token^{-1} * rational for the infinite ones:
-e^{a_i} for Charlier, (1-c)^{-beta_i} for Meixner II, (1-c_i)^{-beta} for
-Meixner I.
+Each family's weight and total mass are its ``weight`` and ``mass_token``
+methods (formulas in the family modules).  All gamma ratios reduce to
+Pochhammer ratios, so rational parameters at integer support points give
+exact rational weight values.
 """
 
 from __future__ import annotations
@@ -20,8 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..errors import OutOfSupportError
-from ..exact.combinatorics import binomial, factorial, pochhammer
-from .params import Charlier, FamilyParams, Hahn, Kravchuk, MeixnerI, MeixnerII
+from .params import FamilyParams
 from .prefactors import PrefactorToken
 
 
@@ -33,20 +23,7 @@ def weight(params: FamilyParams, i: int, x: int) -> Fraction:
         raise OutOfSupportError(f"x = {x} exceeds the support bound N = {params.N}")
     if not 1 <= i <= params.p:
         raise ValueError(f"weight index i = {i} out of range 1..{params.p}")
-    if isinstance(params, Hahn):
-        a = params.alpha[i - 1]
-        return (pochhammer(a + 1, x) / factorial(x)
-                * pochhammer(params.beta + 1, params.N - x) / factorial(params.N - x))
-    if isinstance(params, MeixnerII):
-        return pochhammer(params.beta[i - 1], x) / factorial(x) * params.c**x
-    if isinstance(params, MeixnerI):
-        return pochhammer(params.beta0, x) / factorial(x) * params.c[i - 1] ** x
-    if isinstance(params, Kravchuk):
-        q = params.p_success[i - 1]
-        return binomial(params.N, x) * q**x * (1 - q) ** (params.N - x)
-    if isinstance(params, Charlier):
-        return params.a[i - 1] ** x / factorial(x)
-    raise TypeError(f"unknown family {params!r}")
+    return params.weight(i, x)
 
 
 def weight_mass_token(params: FamilyParams, i: int):
@@ -60,21 +37,7 @@ def weight_mass_token(params: FamilyParams, i: int):
     """
     if not 1 <= i <= params.p:
         raise ValueError(f"weight index i = {i} out of range 1..{params.p}")
-    if isinstance(params, Hahn):
-        # Chu-Vandermonde collapses the finite sum to a single Pochhammer ratio.
-        mass = pochhammer(params.alpha[i - 1] + params.beta + 2, params.N) / factorial(params.N)
-        return PrefactorToken.one(), mass
-    if isinstance(params, Kravchuk):
-        return PrefactorToken.one(), Fraction(1)
-    if isinstance(params, MeixnerII):
-        # m_0 = (1-c)^{-beta_i}, so (1-c)^{beta_i} * m_0 = 1
-        return PrefactorToken.pow_one_minus_c(params.c, params.beta[i - 1]), Fraction(1)
-    if isinstance(params, MeixnerI):
-        return PrefactorToken.pow_one_minus_ci(i, params.c[i - 1], params.beta0), Fraction(1)
-    if isinstance(params, Charlier):
-        # m_0 = e^{a_i}; exp_neg(a_i) * m_0 = 1
-        return PrefactorToken.exp_neg(params.a[i - 1]), Fraction(1)
-    raise TypeError(f"unknown family {params!r}")
+    return params.mass_token(i)
 
 
 def mass_cancellation(params: FamilyParams, i: int, prefactor: PrefactorToken) -> Fraction:

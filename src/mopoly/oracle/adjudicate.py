@@ -27,50 +27,46 @@ def _first_mismatch_case():
     return MultiIndex.of((2, 1)), 1
 
 
-def adjudicate_kravchuk_type1_prefactor(seed: int = 0) -> dict:
+def _prefactor_adjudication(seed: int, family: str, question: str, variant_ratio) -> dict:
+    """The boxed type I prefactor vs a derivation display's variant, against the oracle.
+
+    ``variant_ratio(params, n, i)`` is the variant's prefactor over the boxed one.
+    """
     rng = random.Random(seed)
     n, i = _first_mismatch_case()
-    params = draw_params(rng, "kravchuk", 2, n.size)
-    ni, size = n[i - 1], n.size
+    params = draw_params(rng, family, 2, n.size)
     printed = type1(params, n, i)
     scale = mass_cancellation(params, i, printed.prefactor)
     oracle = oracle_type1(params, n)[i - 1]
     printed_ok = printed.rational_part * scale == oracle
-    # intermediate-display variant: (-N)_{|n|-1} pi_i^{n_i-1} in place of (-N)_{|n|-n_i}
-    ratio = (pochhammer(Fraction(-params.N), size - ni)
-             / (pochhammer(Fraction(-params.N), size - 1)
-                * params.p_success[i - 1] ** (ni - 1)))
+    ratio = variant_ratio(params, n, i)
     variant_ok = printed.rational_part * ratio * scale == oracle
     return {
-        "question": "kravchuk type I prefactor: boxed (-N)_{|n|-n_i} vs the "
-                    "derivation display's (-N)_{|n|-1} pi_i^{n_i-1}",
+        "question": question,
         "verdict": "boxed formula confirmed" if printed_ok and not variant_ok else "unresolved",
         "boxed_matches_oracle": printed_ok,
         "display_variant_matches_oracle": variant_ok,
         "evidence": {"params": params.to_json(), "n": list(n.entries), "i": i},
     }
+
+
+def adjudicate_kravchuk_type1_prefactor(seed: int = 0) -> dict:
+    # intermediate-display variant: (-N)_{|n|-1} pi_i^{n_i-1} in place of (-N)_{|n|-n_i}
+    return _prefactor_adjudication(
+        seed, "kravchuk", "kravchuk type I prefactor: boxed (-N)_{|n|-n_i} vs the "
+                          "derivation display's (-N)_{|n|-1} pi_i^{n_i-1}",
+        lambda params, n, i: (pochhammer(Fraction(-params.N), n.size - n[i - 1])
+                              / (pochhammer(Fraction(-params.N), n.size - 1)
+                                 * params.p_success[i - 1] ** (n[i - 1] - 1))))
 
 
 def adjudicate_meixner1_type1_prefactor(seed: int = 0) -> dict:
-    rng = random.Random(seed)
-    n, i = _first_mismatch_case()
-    params = draw_params(rng, "meixner1", 2, n.size)
-    ni, size = n[i - 1], n.size
-    printed = type1(params, n, i)
-    scale = mass_cancellation(params, i, printed.prefactor)
-    oracle = oracle_type1(params, n)[i - 1]
-    printed_ok = printed.rational_part * scale == oracle
     # intermediate-display variant: (beta)_{|n|-1} in place of (beta)_{|n|-n_i}
-    ratio = (pochhammer(params.beta0, size - ni) / pochhammer(params.beta0, size - 1))
-    variant_ok = printed.rational_part * ratio * scale == oracle
-    return {
-        "question": "first-kind Meixner type I prefactor: boxed (beta)_{|n|-n_i} vs "
-                    "the derivation display's (beta)_{|n|-1}",
-        "verdict": "boxed formula confirmed" if printed_ok and not variant_ok else "unresolved",
-        "boxed_matches_oracle": printed_ok,
-        "display_variant_matches_oracle": variant_ok,
-        "evidence": {"params": params.to_json(), "n": list(n.entries), "i": i},
-    }
+    return _prefactor_adjudication(
+        seed, "meixner1", "first-kind Meixner type I prefactor: boxed (beta)_{|n|-n_i} vs "
+                          "the derivation display's (beta)_{|n|-1}",
+        lambda params, n, i: (pochhammer(params.beta0, n.size - n[i - 1])
+                              / pochhammer(params.beta0, n.size - 1)))
 
 
 def adjudicate_type1_recurrence_subscripts(seed: int = 0) -> dict:

@@ -32,7 +32,7 @@ from .errors import InvalidShiftError
 from .exact.indices import MultiIndex, Permutation, all_permutations, multi_indices
 from .exact.identities import IDENTITY_NAMES, verify_identity
 from .families.closed_forms import type1, type1_alt_equivalence, type2
-from .families.params import FAMILY_NAMES, MeixnerI, MeixnerII
+from .families.params import FAMILY_NAMES, Charlier, Kravchuk, MeixnerI, MeixnerII
 from .families.recurrence import nnrc
 from .families.weights import mass_cancellation
 from .oracle.adjudicate import run_adjudications
@@ -70,8 +70,13 @@ def _recurrence_identity_cached(params, n, perm, k, coeffs, t2cache, values):
     return type2_residual_vanishes(n, perm, k, coeffs, t2, values)
 
 
+def _mismatch(check, family, params, n, **where) -> dict:
+    return {"check": check, "family": family, "params": params.to_json(),
+            "n": list(n.entries), **where, "status": "fail"}
+
+
 def run_closed_vs_oracle(sweep: str = "standard", seed: int = 0,
-                         families=FAMILY_NAMES, progress=None,
+                         families=FAMILY_NAMES,
                          checks=("type2", "type1", "recurrence")) -> dict:
     """Criteria 1-3: type II, type I and recurrence closed forms vs. the oracle."""
     cfg = SWEEPS[sweep]
@@ -102,10 +107,7 @@ def run_closed_vs_oracle(sweep: str = "standard", seed: int = 0,
                     cf2 = t2cache[n.entries]
                     if "type2" in checks:
                         if cf2 != context.type2(n):
-                            stats["mismatches"].append(
-                                {"check": "type2", "family": family,
-                                 "params": params.to_json(), "n": list(n.entries),
-                                 "status": "fail"})
+                            stats["mismatches"].append(_mismatch("type2", family, params, n))
                         stats["type2"] += 1
                     if "type1" in checks and n.size >= 1:
                         ora = context.type1(n)
@@ -118,9 +120,7 @@ def run_closed_vs_oracle(sweep: str = "standard", seed: int = 0,
                                 ok = cf1.rational_part * scale == ora[i - 1]
                             if not ok:
                                 stats["mismatches"].append(
-                                    {"check": "type1", "family": family,
-                                     "params": params.to_json(), "n": list(n.entries),
-                                     "i": i, "status": "fail"})
+                                    _mismatch("type1", family, params, n, i=i))
                             stats["type1"] += 1
                     if "recurrence" not in checks:
                         continue
@@ -132,10 +132,8 @@ def run_closed_vs_oracle(sweep: str = "standard", seed: int = 0,
                             orc = None
                         if orc is not None:
                             if coeffs.b0 != orc.b0 or coeffs.bj != orc.bj:
-                                stats["mismatches"].append(
-                                    {"check": "recurrence", "family": family,
-                                     "params": params.to_json(), "n": list(n.entries),
-                                     "perm": list(perm.image), "status": "fail"})
+                                stats["mismatches"].append(_mismatch(
+                                    "recurrence", family, params, n, perm=list(perm.image)))
                             stats["recurrence"] += 1
                         for k in range(1, p + 1):
                             res = _recurrence_identity_cached(params, n, perm, k, coeffs,
@@ -143,13 +141,10 @@ def run_closed_vs_oracle(sweep: str = "standard", seed: int = 0,
                             if res is None:
                                 continue
                             if not res:
-                                stats["mismatches"].append(
-                                    {"check": "recurrence_identity", "family": family,
-                                     "params": params.to_json(), "n": list(n.entries),
-                                     "perm": list(perm.image), "k": k, "status": "fail"})
+                                stats["mismatches"].append(_mismatch(
+                                    "recurrence_identity", family, params, n,
+                                    perm=list(perm.image), k=k))
                             stats["recurrence_identity"] += 1
-                if progress:
-                    progress(family, p)
         stats["passed"] = not stats["mismatches"]
         all_ok = all_ok and stats["passed"]
         report["families"][family] = stats
@@ -290,7 +285,7 @@ def run_representation_equalities(seed: int = 0, n_max: int = 4) -> dict:
 
 def run_integral_suite(seed: int = 0, nodes: int = 256, rel_tol: float = 1e-8,
                        doubling_tol: float = 1e-10, x_max: int = 5,
-                       precision: str | None = None) -> dict:
+                       precision: str = "double") -> dict:
     """Criterion 7: the ten contour representations vs. closed forms.
 
     Relative error is measured against max(|closed form|, 1) so that exact
@@ -314,7 +309,7 @@ def run_integral_suite(seed: int = 0, nodes: int = 256, rel_tol: float = 1e-8,
                         if kind == "type1" and n[i - 1] == 0:
                             continue
                         for x in range(0, x_max + 1):
-                            if family in ("hahn", "kravchuk") and x > params.N:
+                            if params.finite_support and x > params.N:
                                 continue
                             rep = integral_representation(params, kind, n, x, i)
                             res = contour_quadrature(rep, nodes=nodes,
@@ -334,11 +329,9 @@ def run_integral_suite(seed: int = 0, nodes: int = 256, rel_tol: float = 1e-8,
     return report
 
 
-def default_limit_targets(seed: int = 0) -> dict:
+def default_limit_targets() -> dict:
     """AT-safe targets for every edge (offsets keep substituted Hahn parameters
     off integer differences for the decade schedule values)."""
-    rng = random.Random(seed)
-    del rng  # fixed targets: the schedule collisions are what need care here
     F = Fraction
     return {
         "h_m2": MeixnerII((F(3, 2), F(14, 5)), F(1, 3)),
@@ -358,12 +351,16 @@ def default_limit_targets(seed: int = 0) -> dict:
     }
 
 
+def _edge_record(rep) -> dict:
+    return {"slope": rep.slope, "monotone": rep.monotone_tail,
+            "schedule": [float(t) for t in rep.schedule],
+            "errors": list(rep.errors), "passed": rep.passed}
+
+
 def run_limit_suite(seed: int = 0, hermite_tol: float = 1e-6) -> dict:
     """Criterion 8: slope-band checks on every edge plus the Hermite routes."""
-    from .families.params import Charlier, Kravchuk
-
     F = Fraction
-    targets = default_limit_targets(seed)
+    targets = default_limit_targets()
     decades = (100, 1000, 10000, 100000)
     report = {"check": "limits", "seed": seed, "edges": {}, "gamma_asymptotics": {}}
     all_ok = True
@@ -382,9 +379,7 @@ def run_limit_suite(seed: int = 0, hermite_tol: float = 1e-6) -> dict:
         edge_report = {}
         for check in ("weight", "type2", "recurrence"):
             rep = limit_edge(sched, check, tgt, i=1)
-            edge_report[check] = {"slope": rep.slope, "monotone": rep.monotone_tail,
-                                  "schedule": [float(t) for t in rep.schedule],
-                                  "errors": list(rep.errors), "passed": rep.passed}
+            edge_report[check] = _edge_record(rep)
             all_ok = all_ok and rep.passed
         report["edges"][edge] = edge_report
 
@@ -399,11 +394,7 @@ def run_limit_suite(seed: int = 0, hermite_tol: float = 1e-6) -> dict:
     for edge, (tgt, values, xs) in continuous.items():
         sched = LimitSchedule(edge, values, x_probes=xs)
         rep = limit_edge(sched, "weight", tgt, i=1)
-        report["edges"][edge] = {"weight": {"slope": rep.slope,
-                                            "monotone": rep.monotone_tail,
-                                            "schedule": [float(t) for t in rep.schedule],
-                                            "errors": list(rep.errors),
-                                            "passed": rep.passed}}
+        report["edges"][edge] = {"weight": _edge_record(rep)}
         all_ok = all_ok and rep.passed
 
     routes = hermite_route_consistency(targets["k_hermite"]["c"],

@@ -1,9 +1,13 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from mopoly import cli
+from mopoly.errors import ParameterError
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -119,3 +123,35 @@ def test_config_file_defaults(tmp_path):
     assert json.loads(proc.stdout) == {"b0": ["4/1"], "b": ["4/1"]}
     proc = run_cli("recur", "--config", str(tmp_path / "missing.json"))
     assert proc.returncode == 2
+    # config values go through the flag's type: a bad one is a usage error
+    cfg.write_text(json.dumps({"family": "charlier", "a": "2", "n": "oops"}))
+    proc = run_cli("recur", "--config", str(cfg))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+
+
+def test_run_leaves_environment_unchanged(capsys):
+    before = dict(os.environ)
+    assert cli.run(["recur", "--family", "charlier", "--a", "2", "--n", "3"]) == 0
+    assert cli.run(["recur", "--family", "charlier", "--a", "2", "--n", "3",
+                    "--precision", "extended"]) == 0
+    assert dict(os.environ) == before
+
+
+def test_missing_family_flag_is_named(capsys):
+    argv = ["eval", "type2", "--family", "hahn", "--alpha", "1/2", "--N", "4", "--n", "1"]
+    with pytest.raises(ParameterError, match="--beta"):
+        cli._build_params(cli.build_parser().parse_args(argv))
+    assert cli.run(argv) == 2
+    assert "missing --beta for family 'hahn'" in capsys.readouterr().err
+
+
+def test_scalar_flag_rejects_several_values(capsys):
+    argv = ["eval", "type2", "--family", "hahn", "--alpha", "1/2", "--beta", "1/3,1/2",
+            "--N", "4", "--n", "1"]
+    assert cli.run(argv) == 2
+    assert "beta takes one value for family 'hahn'" in capsys.readouterr().err
+    argv = ["recur", "--family", "meixner2", "--beta", "1/2,4/3", "--c", "1/3,1/4",
+            "--n", "1,1"]
+    assert cli.run(argv) == 2
+    assert "c takes one value for family 'meixner2'" in capsys.readouterr().err

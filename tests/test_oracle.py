@@ -8,6 +8,7 @@ import pytest
 from mopoly.errors import InvalidShiftError, SingularSystemError
 from mopoly.exact import MultiIndex, Permutation, Poly, all_permutations, multi_indices
 from mopoly.families import Charlier, Hahn, Kravchuk, MeixnerI, MeixnerII, type1, type2, weight
+from mopoly.families import closed_forms, recurrence
 from mopoly.families.params import FAMILY_NAMES
 from mopoly.families.weights import mass_cancellation
 from mopoly.oracle import (
@@ -131,21 +132,32 @@ def test_oracle_nnrc_shared_context_matches_fresh(family):
 
 
 def test_oracle_context_uses_no_closed_form(monkeypatch):
-    params = draw_params(random.Random(9), "hahn", 2, 4)
+    rng = random.Random(9)
+    draws = [draw_params(rng, family, 2, 4) for family in FAMILY_NAMES]
     n = MultiIndex.of((2, 1))
     perm = Permutation.of((2, 1))
-    expected = (oracle_type2(params, n), oracle_type1(params, n),
-                oracle_nnrc(params, n, perm))
+    expected = [(oracle_type2(params, n), oracle_type1(params, n),
+                 oracle_nnrc(params, n, perm)) for params in draws]
 
     def closed_form(*args, **kwargs):
         raise AssertionError("the oracle called a closed form")
 
-    for name in ("type2", "type1", "nnrc"):
-        monkeypatch.setattr(reconstruct, name, closed_form, raising=False)
-    context = OracleContext(params)
-    assert (context.type2(n), context.type1(n),
-            oracle_nnrc(params, n, perm, context=context)) == expected
-    assert context.type1((0, 0)) == [Poly.zero(), Poly.zero()]
+    # every closed-form method of every family, and the public entry points
+    for cls in (Hahn, MeixnerII, MeixnerI, Kravchuk, Charlier):
+        for name in ("type2_coefficients", "weighted_pfq", "type1", "b0", "bj"):
+            monkeypatch.setattr(cls, name, closed_form)
+    monkeypatch.setattr(MeixnerI, "type1_alt", closed_form)
+    for module, name in ((closed_forms, "type2"), (closed_forms, "type1"),
+                         (recurrence, "nnrc"), (reconstruct, "type2"),
+                         (reconstruct, "type1"), (reconstruct, "nnrc")):
+        monkeypatch.setattr(module, name, closed_form, raising=False)
+    # every moment table is computed afresh under the patches
+    monkeypatch.setattr(moments, "_MOMENT_CACHE", {})
+    for params, want in zip(draws, expected):
+        context = OracleContext(params)
+        assert (context.type2(n), context.type1(n),
+                oracle_nnrc(params, n, perm, context=context)) == want
+        assert context.type1((0, 0)) == [Poly.zero(), Poly.zero()]
 
 
 def test_oracle_context_rejects_other_params():

@@ -49,6 +49,11 @@ def test_json_round_trip():
     for p in (MeixnerII((F(1, 2),), F(1, 3)), MeixnerI(F(2), (F(1, 4), F(3, 4))),
               Kravchuk((F(1, 4),), 3), Charlier((F(5, 2),))):
         assert params_from_json(p.to_json()) == p
+    # a field of the wrong shape is rejected, not read character by character
+    with pytest.raises(ParameterError, match="a takes a list of values"):
+        params_from_json({"family": "charlier", "a": "12"})
+    with pytest.raises(ParameterError, match="beta takes one value"):
+        params_from_json({"family": "hahn", "alpha": ["1/2"], "beta": ["1/3"], "N": 3})
 
 
 def test_weight_values():
