@@ -48,7 +48,6 @@ from ..families.weights import weight
 
 DISCRETE_EDGES = ("h_m2", "h_m1", "h_k", "m2_c", "m1_c", "k_c")
 CONTINUOUS_EDGES = ("h_jp", "m2_l1", "m1_l2", "k_hermite", "c_hermite", "l2_hermite")
-EDGE_CHECKS = ("weight", "type2", "recurrence")
 
 _DPS = 50
 
@@ -151,9 +150,6 @@ class ConvergenceReport:
     def passed(self) -> bool:
         lo, hi = self.slope_band
         return self.monotone_tail and lo <= self.slope <= hi
-
-    def rows(self):
-        return [(float(t), e) for t, e in zip(self.schedule, self.errors)]
 
 
 def _fit_report(edge, check, values, errors, band) -> ConvergenceReport:

@@ -2,19 +2,22 @@
 
 The normalized moments mu_j = (sum_x x^j w_i(x)) / m_0^{(i)} are rational for
 every family: the transcendental mass cancels in the normalization.  Each
-family computes them in its ``moments`` method.  ``validate_closed_form``
-rechecks them against a truncated brute-force sum in high-precision floats
-(the truncation point is driven by a tail bound).
+family computes them in its ``moments`` method.  ``normalized_moments``
+checks the component index and computes one table, uncached; the oracle keeps
+the tables of one parameter draw in its ``OracleContext``, so no moment state
+outlives the draw.  ``validate_closed_form`` rechecks the tables against a
+truncated brute-force sum in high-precision floats (the truncation point is
+driven by a tail bound).
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
 
+from ..errors import ParameterError
 from ..families.params import FamilyParams
 from ..families.weights import weight
 
@@ -29,37 +32,14 @@ class MomentTable:
     def __getitem__(self, j: int) -> Fraction:
         return self.moments[j]
 
-    def pair(self, poly_coeffs) -> Fraction:
-        """sum_x P(x) w_hat(x) for P given by monomial coefficients."""
-        return sum((c * self.moments[j] for j, c in enumerate(poly_coeffs) if c != 0),
-                   Fraction(0))
-
-
-_MOMENT_CACHE_SIZE = 4096
-_MOMENT_CACHE: dict = {}   # (params, i) -> moments, least recently used first
-_MOMENT_LOCK = threading.Lock()
-
 
 def normalized_moments(params: FamilyParams, i: int, jmax: int) -> MomentTable:
-    """Exact table mu_0..mu_jmax for the i-th (1-based) weight component.
-
-    Tables are cached per (params, i) -- the parameter objects are frozen and
-    hashable -- and extended on demand; repeated oracle solves over one
-    parameter draw reuse the same moments.  The cache keeps the
-    ``_MOMENT_CACHE_SIZE`` most recently used tables; a lock makes the lookup,
-    the re-insertion and the eviction one step, so concurrent callers are safe.
-    """
+    """Exact table mu_0..mu_jmax for the i-th (1-based) weight component."""
+    if not 1 <= i <= params.p:
+        raise ParameterError(f"component index i = {i} is outside 1..{params.p}")
     if jmax < 0:
         raise ValueError("jmax must be >= 0")
-    key = (params, i)
-    with _MOMENT_LOCK:
-        mus = _MOMENT_CACHE.pop(key, None)   # re-inserted below as the most recent
-        if mus is None or len(mus) <= jmax:
-            mus = params.moments(i, max(jmax, 2 * len(mus) if mus else 8))
-        _MOMENT_CACHE[key] = mus
-        if len(_MOMENT_CACHE) > _MOMENT_CACHE_SIZE:
-            del _MOMENT_CACHE[next(iter(_MOMENT_CACHE))]
-    return MomentTable(i, tuple(mus[: jmax + 1]))
+    return MomentTable(i, tuple(params.moments(i, jmax)))
 
 
 def validate_closed_form(params: FamilyParams, i: int, jmax: int,

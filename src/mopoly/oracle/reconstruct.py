@@ -16,16 +16,18 @@ quantity rational:
   <P, A_hat> = sum_i sum_x P(x) A_hat^{(i)}(x) w_hat_i(x) (the mass factors
   cancel between A_hat and w_hat).
 
-One ``OracleContext`` per parameter draw solves each B_n and A_hat_m once and
-computes each pairing once for all permutations, as the dot product of the
-coefficients of A_hat^{(i)}_m with v_i[r] = sum_j b_j mu_i[j+1+r] (b_j the
-coefficients of B_n, mu_i the moments), so no polynomial product is formed.
+One ``OracleContext`` per parameter draw holds its moment tables, solves each
+B_n and A_hat_m once and computes each pairing once for all permutations, as
+the dot product of the coefficients of A_hat^{(i)}_m with
+v_i[r] = sum_j b_j mu_i[j+1+r] (b_j the coefficients of B_n, mu_i the
+moments), so no polynomial product is formed.
 ``type2_residual_vanishes`` checks the type II recurrence by evaluation at
 integer nodes, which is exact (see there).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,79 +38,84 @@ from ..families.params import FamilyParams
 from ..families.recurrence import RecurrenceCoefficients, nnrc
 from ..families.closed_forms import type2
 from .linsolve import solve_exact
-from .moments import MomentTable, normalized_moments
-
-
-def _moment_tables(params: FamilyParams, jmax: int) -> list[MomentTable]:
-    return [normalized_moments(params, i, jmax) for i in range(1, params.p + 1)]
 
 
 def oracle_type2(params: FamilyParams, n: MultiIndex) -> Poly:
     """Monic degree-|n| solution of the type II orthogonality conditions."""
-    n = MultiIndex.of(n)
-    size = n.size
-    if size == 0:
-        return Poly.one()
-    jmax = size + max(n.entries)  # highest moment index: (n_i - 1) + size, plus margin
-    tables = _moment_tables(params, jmax)
-    rows = []
-    rhs = []
-    for i in range(params.p):
-        for j in range(n[i]):
-            rows.append([tables[i][j + m] for m in range(size)])
-            rhs.append(-tables[i][j + size])
-    coeffs = solve_exact(rows, rhs)
-    return Poly(coeffs + [Fraction(1)])
+    return OracleContext(params).type2(MultiIndex.of(n))
 
 
 def oracle_type1(params: FamilyParams, n: MultiIndex) -> list[Poly]:
     """Mass-normalized type I components A_hat^{(i)} as exact polynomials."""
     n = MultiIndex.of(n)
-    size = n.size
-    if size == 0:
+    if n.size == 0:
         raise ValueError("type I polynomials need |n| >= 1")
-    jmax = size + max(n.entries)
-    tables = _moment_tables(params, jmax)
-    # unknown layout: coefficients of A_hat^{(i)} for every i with n_i >= 1
-    slots = [(i, m) for i in range(params.p) for m in range(n[i])]
-    rows = []
-    rhs = []
-    for j in range(size):
-        rows.append([tables[i][j + m] for (i, m) in slots])
-        rhs.append(Fraction(1) if j == size - 1 else Fraction(0))
-    sol = solve_exact(rows, rhs)
-    comps = []
-    pos = 0
-    for i in range(params.p):
-        comps.append(Poly(sol[pos:pos + n[i]]))
-        pos += n[i]
-    return comps
+    return OracleContext(params).type1(n)
 
 
 class OracleContext:
-    """Memo of the oracle solves and recurrence pairings of one parameter draw."""
+    """All oracle state of one parameter draw: moments, solves and pairings.
+
+    The moment tables come from ``params.moments`` only.  They grow when a
+    request exceeds them, to two moments beyond the request: enough for x B_n
+    and every A_hat_{n+e_k}, so one ``oracle_nnrc`` computes each table once.
+    Nothing is locked: every entry is a function of its key alone, so threads
+    that share a context at worst compute one twice.
+    """
 
     def __init__(self, params: FamilyParams):
         self.params = params
+        self._moments: list[list[Fraction]] = [[]] * params.p
         self._type2: dict = {}
         self._type1: dict = {}
         self._xb_moments: dict = {}
         self._pairings: dict = {}
 
+    def moments(self, jmax: int) -> list[list[Fraction]]:
+        """The p tables mu_i[0..J], J >= jmax, of the normalized weights."""
+        tables = self._moments
+        if len(tables[0]) <= jmax:
+            tables = self._moments = [self.params.moments(i, jmax + 2)
+                                      for i in range(1, self.params.p + 1)]
+        return tables
+
     def type2(self, n) -> Poly:
-        """oracle_type2(params, n), solved once."""
+        """The unique monic B_n with sum_x x^j B_n w_hat_i = 0 for j < n_i, solved once."""
         key = tuple(n)
-        if key not in self._type2:
-            self._type2[key] = oracle_type2(self.params, MultiIndex.of(key))
-        return self._type2[key]
+        poly = self._type2.get(key)
+        if poly is None:
+            size = sum(key)
+            if size == 0:
+                poly = Poly.one()
+            else:
+                # highest moment index (n_i - 1) + size; one more lets the table
+                # grown here cover x B_n and every A_hat_{n+e_k} as well
+                tables = self.moments(size + max(key))
+                rows = [t[j:j + size] for t, ni in zip(tables, key, strict=True)
+                        for j in range(ni)]
+                rhs = [-t[j + size] for t, ni in zip(tables, key) for j in range(ni)]
+                poly = Poly(solve_exact(rows, rhs) + [Fraction(1)])
+            self._type2[key] = poly
+        return poly
 
     def type1(self, m) -> list[Poly]:
-        """oracle_type1(params, m), solved once; the zero components at |m| = 0."""
+        """The components A_hat^{(i)}_m, deg < m_i, solved once; zero ones at |m| = 0."""
         key = tuple(m)
-        if key not in self._type1:
-            self._type1[key] = (oracle_type1(self.params, MultiIndex.of(key)) if sum(key)
-                                else [Poly.zero()] * self.params.p)
-        return self._type1[key]
+        comps = self._type1.get(key)
+        if comps is None:
+            size = sum(key)
+            if size == 0:
+                comps = [Poly.zero()] * self.params.p
+            else:
+                tables = self.moments(size + max(key))
+                # unknowns: the coefficients of A_hat^{(1)}, then A_hat^{(2)}, ...
+                rows = [[v for t, mi in zip(tables, key, strict=True) for v in t[j:j + mi]]
+                        for j in range(size)]
+                sol = solve_exact(rows, [Fraction(0)] * (size - 1) + [Fraction(1)])
+                comps = [Poly(sol[end - mi:end])
+                         for mi, end in zip(key, itertools.accumulate(key))]
+            self._type1[key] = comps
+        return comps
 
     def _pairing(self, n: MultiIndex, m: MultiIndex) -> Fraction:
         """<x B_n, A_hat_m> for a neighbour m of n, one with m_i <= n_i + 1."""
@@ -125,12 +132,21 @@ class OracleContext:
         vectors = self._xb_moments.get(n.entries)
         if vectors is None:
             b = self.type2(n).coeffs
-            tables = _moment_tables(self.params, len(b) + max(n.entries))
+            tables = self.moments(len(b) + max(n.entries))
             vectors = [[sum((bj * t[j + 1 + r] for j, bj in enumerate(b) if bj), Fraction(0))
                         for r in range(ni + 1)]
                        for t, ni in zip(tables, n.entries)]
             self._xb_moments[n.entries] = vectors
         return vectors
+
+
+def _own_context(params: FamilyParams, context: OracleContext | None) -> OracleContext:
+    """``context``, checked to belong to ``params``; a fresh one when None."""
+    if context is None:
+        return OracleContext(params)
+    if context.params != params:
+        raise ValueError("the oracle context belongs to other parameters")
+    return context
 
 
 def oracle_nnrc(params: FamilyParams, n: MultiIndex,
@@ -144,10 +160,7 @@ def oracle_nnrc(params: FamilyParams, n: MultiIndex,
     n = MultiIndex.of(n)
     if perm is None:
         perm = Permutation.identity(params.p)
-    if context is None:
-        context = OracleContext(params)
-    elif context.params != params:
-        raise ValueError("the oracle context belongs to other parameters")
+    context = _own_context(params, context)
     b0 = tuple(context._pairing(n, n.add_unit(k)) for k in range(1, params.p + 1))
     bj = []
     for j in range(1, params.p + 1):
@@ -172,17 +185,22 @@ class BiorthogonalityReport:
         return self.expected is None or self.value == self.expected
 
 
-def check_biorthogonality(params: FamilyParams, n: MultiIndex, m: MultiIndex) -> BiorthogonalityReport:
-    """Evaluate sum_i sum_x B_n A_hat^{(i)}_m w_hat_i exactly against the 0/1/0 table."""
+def check_biorthogonality(params: FamilyParams, n: MultiIndex, m: MultiIndex,
+                          context: OracleContext | None = None) -> BiorthogonalityReport:
+    """Evaluate sum_i sum_x B_n A_hat^{(i)}_m w_hat_i exactly against the 0/1/0 table.
+
+    ``context`` shares the solves and moments of one parameter draw between
+    calls, as in ``oracle_nnrc``.
+    """
     n = MultiIndex.of(n)
     m = MultiIndex.of(m)
     if m.size == 0:
         raise ValueError("the pairing needs |m| >= 1")
-    b = oracle_type2(params, n)
-    comps = oracle_type1(params, m)
-    jmax = n.size + max(m.entries)
-    tables = _moment_tables(params, jmax)
-    value = sum((t.pair((b * a).coeffs) for t, a in zip(tables, comps)), Fraction(0))
+    context = _own_context(params, context)
+    b = context.type2(n)
+    tables = context.moments(n.size + max(m.entries))
+    value = sum((c * t[j] for t, a in zip(tables, context.type1(m))
+                 for j, c in enumerate((b * a).coeffs) if c), Fraction(0))
     if all(mi <= ni for mi, ni in zip(m, n)):
         expected = Fraction(0)
     elif m.size == n.size + 1:

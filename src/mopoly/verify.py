@@ -6,10 +6,12 @@ reproducible from (seed, sweep spec), and every exact comparison is an exact
 rational equality.
 
 The closed-vs-oracle sweep keeps three caches per parameter draw: an
-``OracleContext`` that solves each oracle B_n and A_hat_m and each recurrence
-pairing once for every permutation and shift, the closed-form type II
-polynomials (each built once, whether the sweep over n or a shifted residual
-trial needs it first), and their values at the integer nodes.
+``OracleContext`` that holds the draw's moment tables and solves each oracle
+B_n and A_hat_m and each recurrence pairing once for every permutation and
+shift, the closed-form type II polynomials (each built once, whether the
+sweep over n or a shifted residual trial needs it first), and their values at
+the integer nodes.  The biorthogonality suite shares one ``OracleContext`` per
+draw the same way.
 The recurrence identity is checked by evaluating its residual at those nodes
 (``type2_residual_vanishes``), which is exact.  Every closed form is still
 computed as printed and compared for every (n, i, permutation).
@@ -214,9 +216,10 @@ def run_biorthogonality(seed: int = 0, n_max: int = 4, p_values=(1, 2),
         failures = []
         for p in p_values:
             params = draw_params(rng, family, p, n_max)
+            context = OracleContext(params)
             for n in multi_indices(p, n_max):
                 for m in multi_indices(p, n_max, min_size=1):
-                    rep = check_biorthogonality(params, n, m)
+                    rep = check_biorthogonality(params, n, m, context=context)
                     if rep.expected is None:
                         continue
                     checked += 1

@@ -11,12 +11,16 @@ from mopoly.errors import ParameterError
 
 jsonschema = pytest.importorskip("jsonschema")
 
-SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"
+ROOT = Path(__file__).resolve().parent.parent
+SCHEMAS = ROOT / "schemas"
+# the child imports mopoly from this checkout, installed or not
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
 
 
 def run_cli(*argv):
     proc = subprocess.run([sys.executable, "-m", "mopoly.cli", *argv],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=CHILD_ENV)
     return proc
 
 
@@ -92,6 +96,19 @@ def test_moments_schema_and_validation():
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["validation"]["passed"] is True
+
+
+@pytest.mark.parametrize("i", [0, -1, 3])
+@pytest.mark.parametrize("family", [
+    ["--family", "charlier", "--a", "2,3"],
+    ["--family", "hahn", "--alpha", "1/2,5/7", "--beta", "1/3", "--N", "9"],
+], ids=["charlier", "hahn"])
+def test_moments_rejects_component_out_of_range(family, i, capsys):
+    # p = 2 in both families: 0, -1 and p + 1 name no weight component
+    assert cli.run(["moments", *family, "--i", str(i), "--jmax", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "outside 1..2" in err
 
 
 def test_invalid_input_exit_codes():

@@ -12,7 +12,6 @@ from mopoly.families import closed_forms, recurrence
 from mopoly.families.params import FAMILY_NAMES
 from mopoly.families.weights import mass_cancellation
 from mopoly.oracle import (
-    MomentTable,
     OracleContext,
     check_biorthogonality,
     check_recurrence_identity,
@@ -22,7 +21,7 @@ from mopoly.oracle import (
     oracle_type2,
     solve_exact,
 )
-from mopoly.oracle import moments, reconstruct
+from mopoly.oracle import reconstruct
 from mopoly.oracle.adjudicate import run_adjudications
 from mopoly.sampling import draw_params
 
@@ -70,6 +69,11 @@ def test_oracle_type2_basics():
     params = MeixnerII((F(1, 2), F(3, 2) + F(1, 7)), F(1, 3))
     n = MultiIndex.of((1, 1))
     assert oracle_type2(params, n) == type2(params, n)
+    for wrong in ((1,), (1, 1, 1)):   # one entry per weight, no fewer, no more
+        with pytest.raises(ValueError):
+            oracle_type2(params, wrong)
+        with pytest.raises(ValueError):
+            oracle_type1(params, wrong)
 
 
 def test_oracle_type2_orthogonality_direct():
@@ -151,8 +155,6 @@ def test_oracle_context_uses_no_closed_form(monkeypatch):
                          (recurrence, "nnrc"), (reconstruct, "type2"),
                          (reconstruct, "type1"), (reconstruct, "nnrc")):
         monkeypatch.setattr(module, name, closed_form, raising=False)
-    # every moment table is computed afresh under the patches
-    monkeypatch.setattr(moments, "_MOMENT_CACHE", {})
     for params, want in zip(draws, expected):
         context = OracleContext(params)
         assert (context.type2(n), context.type1(n),
@@ -166,33 +168,49 @@ def test_oracle_context_rejects_other_params():
         oracle_nnrc(Charlier((3,)), (1,), context=context)
 
 
-def test_moment_cache_evicts_least_recently_used(monkeypatch):
-    monkeypatch.setattr(moments, "_MOMENT_CACHE_SIZE", 2)
-    monkeypatch.setattr(moments, "_MOMENT_CACHE", {})
-    first, second, third = Charlier((2,)), Charlier((3,)), Charlier((5,))
-    table = normalized_moments(first, 1, 4)
-    normalized_moments(second, 1, 4)
-    normalized_moments(first, 1, 2)          # first is now the most recent
-    normalized_moments(third, 1, 4)          # evicts second
-    assert list(moments._MOMENT_CACHE) == [(first, 1), (third, 1)]
-    assert normalized_moments(first, 1, 20)[:5] == table.moments   # extended on demand
-    assert normalized_moments(second, 1, 4) == MomentTable(1, (1, 3, 12, 57, 309))
-    assert len(moments._MOMENT_CACHE) == 2
+def test_oracle_context_extends_moment_tables_on_demand(monkeypatch):
+    params = Charlier((2, F(7, 2)))
+    context = OracleContext(params)
+    short = context.moments(3)
+    longer = context.moments(9)
+    assert context.moments(5) is longer   # no regrowth within the table
+    for i, (s, t) in enumerate(zip(short, longer), start=1):
+        assert len(s) > 3 and len(t) > 9
+        assert tuple(t[:10]) == normalized_moments(params, i, 9).moments
+        assert s == t[:len(s)]
+
+    calls = []
+    original = Charlier.moments
+
+    def counted(self, i, jmax):
+        calls.append(i)
+        return original(self, i, jmax)
+
+    monkeypatch.setattr(Charlier, "moments", counted)
+    params = Charlier((F(3, 2), F(5, 3), F(7, 4)))
+    for n in ((3, 1, 2), (1, 4, 1)):
+        calls.clear()
+        oracle_nnrc(params, n, context=OracleContext(params))
+        assert sorted(calls) == [1, 2, 3]
 
 
-def test_moment_cache_is_safe_across_threads(monkeypatch):
-    # four threads (more than cores) churn a two-table cache over many
-    # distinct draws; every lookup, re-insertion and eviction races with the
-    # others
-    monkeypatch.setattr(moments, "_MOMENT_CACHE_SIZE", 2)
-    monkeypatch.setattr(moments, "_MOMENT_CACHE", {})
-    draws = [(Charlier((F(k, 7),)), 2 + k % 5) for k in range(1, 150)]
-    expected = [normalized_moments(params, 1, jmax) for params, jmax in draws]
+def test_oracle_is_safe_across_threads():
+    # four threads (more than cores) solve the same draws, each with fresh
+    # contexts and through one context per draw that all of them share, while
+    # the interpreter switches between them every microsecond
+    draws = [(Charlier((F(k, 7),)), (2 + k % 5,)) for k in range(1, 150)]
+    expected = [(oracle_type2(params, n), oracle_nnrc(params, n)) for params, n in draws]
+    shared = [OracleContext(params) for params, _ in draws]
     errors, results = [], {}
+
+    def solve(k):
+        params, n = draws[k]
+        return (oracle_type2(params, n), oracle_nnrc(params, n),
+                shared[k].type2(n), oracle_nnrc(params, n, context=shared[k]))
 
     def work(name, order):
         try:
-            results[name] = {k: normalized_moments(draws[k][0], 1, draws[k][1]) for k in order}
+            results[name] = {k: solve(k) for k in order}
         except Exception as exc:   # reported below, not swallowed
             errors.append(exc)
 
@@ -211,8 +229,7 @@ def test_moment_cache_is_safe_across_threads(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert errors == []
     for name in ("up", "down", "up2", "down2"):
-        assert [results[name][k] for k in range(len(draws))] == expected
-    assert len(moments._MOMENT_CACHE) == 2
+        assert [results[name][k] for k in range(len(draws))] == [e + e for e in expected]
 
 
 def test_biorthogonality_three_cases():
