@@ -16,10 +16,6 @@ from .limits import (
     limit_edge,
     richardson_selfcheck,
     stirling_ratio_check,
-    weight_hermite,
-    weight_jacobi_pineiro,
-    weight_laguerre1,
-    weight_laguerre2,
 )
 from .rodrigues import rodrigues_type1
 
@@ -30,7 +26,6 @@ __all__ = [
     "CONTINUOUS_EDGES", "DISCRETE_EDGES", "ConvergenceReport",
     "HermiteConsistencyReport", "LimitSchedule", "hermite_route_consistency",
     "laguerre2_recurrence", "limit_edge", "richardson_selfcheck",
-    "stirling_ratio_check", "weight_hermite", "weight_jacobi_pineiro",
-    "weight_laguerre1", "weight_laguerre2",
+    "stirling_ratio_check",
     "rodrigues_type1",
 ]

@@ -1,39 +1,31 @@
 """Limit relations down the discrete scheme and onto the continuous weights.
 
-Discrete-to-discrete edges (Hahn to Meixner second/first kind and Kravchuk;
-Meixner second/first kind and Kravchuk to Charlier) are checked exactly: at
-each schedule value of the limit variable the scaled source-family quantity
-and the target-family quantity are both rationals, so the error sequence is
-exact and only the log-log slope fit is floating point.
+One edge table keyed by edge name holds every Askey edge, and each
+substitution (Arvesu, Coussement and Van Assche, J. Comput. Appl. Math. 153,
+2003) is written once.  A discrete edge (Hahn to Meixner II/I and Kravchuk;
+Meixner II/I and Kravchuk to Charlier) gives ``source(target, t)``, the source
+parameters at limit value t; its errors are exact rationals and only the
+slope fit is floating point.  A continuous edge compares the scaled source
+weight with the Jacobi-Pineiro, Laguerre or Hermite endpoint weight in
+high-precision logs, since the raw weights overflow any float format long
+before the asymptotics kick in.  The Charlier and Laguerre-2 Hermite routes
+run in the scale s = sqrt(2 beta) = 2m, so probed support points are integers
+and errors decay like 1/s; the Kravchuk route, symmetric in +-1/sqrt(2N),
+cancels its leading term and runs in N = 2m^2 (m even).
 
-Discrete-to-continuous edges compare scaled source weights against the
-continuous endpoint weights
-
-    Jacobi-Pineiro      x^alpha_i (1-x)^beta           on [0, 1]
-    Laguerre 1st kind   x^alpha_i e^{-x}               on [0, inf)
-    Laguerre 2nd kind   x^alpha_0 e^{-c_i x}           on [0, inf)
-    Hermite             e^{-x^2 + c_i x}               on R
-
-in high-precision logs (the raw weights overflow any float format long
-before the asymptotics kick in).  For the Charlier and Laguerre-2 Hermite
-routes the natural limit variable is the scale s = sqrt(2 beta): the
-substitutions are power series in 1/s, the error decays like 1/s, and the
-schedule is declared in even integers s = 2m so that every probed support
-point is an exact integer.  The Kravchuk route is symmetric in +-1/sqrt(2N)
-and its leading error term cancels, leaving O(1/N); its schedule is declared
-in N = 2m^2 (m even).
-
-The three Hermite routes (from Kravchuk, Charlier, and Laguerre second kind)
-are compared pairwise on recurrence coefficients after exact
-Richardson/Neville extrapolation in u = 1/s to u = 0; each route's values
-are rational functions of u, so the extrapolated limits are exact rationals.
+``_neville_at_zero`` is the one exact extrapolation, in u = 1/t: over the
+whole schedule it gives the limits on which the three Hermite routes must
+agree, and over the two largest points it is the Richardson target of
+``richardson_selfcheck``.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 import mpmath
 import numpy as np
@@ -46,32 +38,11 @@ from ..families.params import Charlier, FamilyParams, Hahn, Kravchuk, MeixnerI, 
 from ..families.recurrence import nnrc
 from ..families.weights import weight
 
-DISCRETE_EDGES = ("h_m2", "h_m1", "h_k", "m2_c", "m1_c", "k_c")
-CONTINUOUS_EDGES = ("h_jp", "m2_l1", "m1_l2", "k_hermite", "c_hermite", "l2_hermite")
-
 _DPS = 50
 
 
 # ----------------------------------------------------------------------------
-# continuous endpoint weights
-
-def weight_jacobi_pineiro(x, alpha_i, beta) -> float:
-    return float(x) ** float(alpha_i) * (1 - float(x)) ** float(beta)
-
-def weight_laguerre1(x, alpha_i) -> float:
-    return float(x) ** float(alpha_i) * math.exp(-float(x))
-
-def weight_laguerre2(x, alpha0, c_i) -> float:
-    return float(x) ** float(alpha0) * math.exp(-float(c_i) * float(x))
-
-def weight_hermite(x, c_i) -> float:
-    return math.exp(-float(x) ** 2 + float(c_i) * float(x))
-
-
-def _log_weight_hermite(x, c_i):
-    x = mpmath.mpf(str(x)) if not isinstance(x, Fraction) else _mpf(x)
-    return -x**2 + _mpf(c_i) * x
-
+# log weights in high precision
 
 def _mpf(q) -> mpmath.mpf:
     q = Fraction(q)
@@ -80,6 +51,10 @@ def _mpf(q) -> mpmath.mpf:
 
 def _log_fraction(q: Fraction):
     return mpmath.log(mpmath.mpf(q.numerator)) - mpmath.log(mpmath.mpf(q.denominator))
+
+
+def _log_weight_hermite(x, c_i):
+    return -_mpf(x)**2 + _mpf(c_i) * _mpf(x)
 
 
 def _log_weight_hahn(params, i, xm):
@@ -118,6 +93,20 @@ def _log_weight(params: FamilyParams, i: int, x: int):
     return _LOG_WEIGHTS[params.family](params, i, mpmath.mpf(x))
 
 
+def _log_error(log_scale, lw_src, lw_tgt) -> float:
+    """|scale * w_src / w_tgt - 1| from the logs of the three factors."""
+    return float(abs(mpmath.expm1(log_scale + lw_src - lw_tgt)))
+
+
+def _integer_point(point: Fraction, message: str) -> int:
+    if point.denominator != 1:
+        raise ValueError(message)
+    return int(point)
+
+
+# ----------------------------------------------------------------------------
+# schedules and reports
+
 @dataclass(frozen=True)
 class LimitSchedule:
     """An Askey edge, the limit-variable values, and the probes to test."""
@@ -126,7 +115,6 @@ class LimitSchedule:
     values: tuple            # limit-variable values (ints or rationals)
     x_probes: tuple = ()
     n_probes: tuple = ()
-    perm: Permutation | None = None
 
     def __post_init__(self):
         if len(self.values) < 4:
@@ -166,169 +154,204 @@ def _rel_err(approx: Fraction, target: Fraction) -> float:
     return float(abs(approx - target) / max(abs(target), Fraction(1)))
 
 
-# ----------------------------------------------------------------------------
-# source-family construction per edge
-
-def _edge_source(edge: str, target: FamilyParams, t) -> FamilyParams:
-    """Source-family parameters at limit-variable value t."""
-    if edge == "h_m2":
-        return Hahn(tuple(b - 1 for b in target.beta),
-                    (1 - target.c) / target.c * t, int(t))
-    if edge == "h_m1":
-        return Hahn(tuple((1 - ci) / ci * t for ci in target.c),
-                    target.beta0 - 1, int(t))
-    if edge == "h_k":
-        return Hahn(tuple(q / (1 - q) * t for q in target.p_success),
-                    rat(t), target.N)
-    if edge == "m2_c":
-        # limit variable t = 1/c so every edge's error decays as t grows
-        return MeixnerII(tuple(ai * t for ai in target.a), 1 / rat(t))
-    if edge == "m1_c":
-        return MeixnerI(rat(t), tuple(ai / t for ai in target.a))
-    if edge == "k_c":
-        return Kravchuk(tuple(ai / t for ai in target.a), int(t))
-    raise ValueError(f"unknown discrete edge {edge!r}")
-
-
-def _discrete_weight_error(edge, target, t, i, x) -> float:
-    src = _edge_source(edge, target, t)
-    with mpmath.workdps(_DPS):
-        if edge in ("h_m2", "h_m1"):
-            # Meixner II has one c; Meixner I's c_i meets the reflected point N - x
-            c, point = (target.c, x) if edge == "h_m2" else (target.c[i - 1], int(t) - x)
-            log_scale = (mpmath.mpf(0.5) * mpmath.log(2 * mpmath.pi * int(t))
-                         + int(t) * _log_fraction(c)
-                         + (_mpf((1 - c) / c) * int(t) + mpmath.mpf(0.5))
-                         * _log_fraction(1 - c))
-            lw_src = _log_weight(src, i, point)
-            lw_tgt = _log_weight(target, i, x)
-            return float(abs(mpmath.expm1(log_scale + lw_src - lw_tgt)))
-        if edge == "h_k":
-            qi = target.p_success[i - 1]
-            log_scale = (mpmath.loggamma(target.N + 1) + target.N * _log_fraction(1 - qi)
-                         - target.N * _log_fraction(rat(t)))
-            return float(abs(mpmath.expm1(log_scale + _log_weight(src, i, x)
-                                          - _log_weight(target, i, x))))
-        if edge in ("m2_c", "m1_c"):
-            return _rel_err(weight(src, i, x), weight(target, i, x))
-        if edge == "k_c":
-            ai = target.a[i - 1]
-            return float(abs(mpmath.expm1(_log_weight(src, i, x)
-                                          - _log_weight(target, i, x) + _mpf(ai))))
-    raise ValueError(f"unknown discrete edge {edge!r}")
-
-
-def _discrete_type2_error(edge, target, t, n, x) -> float:
-    src = _edge_source(edge, target, t)
-    tgt_val = type2(target, n)(x)
-    if edge == "h_m1":
-        src_val = Fraction(-1) ** n.size * type2(src, n)(int(t) - x)
-    else:
-        src_val = type2(src, n)(x)
-    return _rel_err(src_val, tgt_val)
-
-
-def _discrete_recurrence_error(edge, target, t, n, perm) -> float:
-    src = _edge_source(edge, target, t)
-    tgt = nnrc(target, n, perm)
-    raw = nnrc(src, n, perm)
-    if edge == "h_m1":
-        b0 = tuple(int(t) - v for v in raw.b0)
-        bj = tuple(Fraction(-1) ** (j + 1) * v for j, v in enumerate(raw.bj, start=1))
-    else:
-        b0, bj = raw.b0, raw.bj
-    errs = [_rel_err(a, b) for a, b in zip(b0 + bj, tgt.b0 + tgt.bj)]
-    return max(errs)
+def _scaled(b0, bj, centre, scale) -> tuple:
+    """b0 and b^j after x -> scale (x - centre): scale (b0 - centre), scale^{j+1} b^j."""
+    return (tuple(scale * (v - centre) for v in b0)
+            + tuple(scale ** (j + 1) * v for j, v in enumerate(bj, start=1)))
 
 
 # ----------------------------------------------------------------------------
-# discrete -> continuous weight errors
+# discrete edges: source(target, t), the weight log-scale, the reflection
 
-def _continuous_weight_error(edge, target, t, i, x) -> float:
-    """Log-space relative error of the scaled discrete weight vs the endpoint weight."""
-    with mpmath.workdps(_DPS):
-        if edge == "h_jp":
-            alpha, beta = target["alpha"], target["beta"]
-            N = int(t)
-            point = Fraction(x) * N
-            if point.denominator != 1:
-                raise ValueError("probe x must make N*x an integer")
-            src = Hahn(alpha, beta, N)
-            ai = alpha[i - 1]
-            log_scale = (_lgamma_q(ai + 1) + _lgamma_q(beta + 1)
-                         - (_mpf(ai) + _mpf(beta)) * mpmath.log(N))
-            lw = _log_weight(src, i, int(point))
-            lw_tgt = _mpf(ai) * mpmath.log(_mpf(x)) + _mpf(beta) * mpmath.log(1 - _mpf(x))
-            return float(abs(mpmath.expm1(log_scale + lw - lw_tgt)))
-        if edge == "m2_l1":
-            alpha = target["alpha"]
-            m = int(t)                       # m = 1/(1-c); probe support point m*x
-            c = Fraction(m - 1, m)
-            point = Fraction(x) * m
-            if point.denominator != 1:
-                raise ValueError("probe x must make x/(1-c) an integer")
-            src = MeixnerII(tuple(a + 1 for a in alpha), c)
-            ai = alpha[i - 1]
-            log_scale = _mpf(ai) * _log_fraction(1 - c) + _lgamma_q(ai + 1)
-            lw = _log_weight(src, i, int(point))
-            lw_tgt = _mpf(ai) * mpmath.log(_mpf(x)) - _mpf(x)
-            return float(abs(mpmath.expm1(log_scale + lw - lw_tgt)))
-        if edge == "m1_l2":
-            alpha0, cs = target["alpha0"], target["c"]
-            tau = int(t)
-            point = Fraction(x) * tau
-            if point.denominator != 1:
-                raise ValueError("probe x must make tau*x an integer")
-            src = MeixnerI(alpha0 + 1, tuple(Fraction(tau, 1) / (tau + ci) for ci in cs))
-            log_scale = _lgamma_q(alpha0 + 1) - _mpf(alpha0) * mpmath.log(tau)
-            lw = _log_weight(src, i, int(point))
-            lw_tgt = (_mpf(alpha0) * mpmath.log(_mpf(x)) - _mpf(cs[i - 1]) * _mpf(x))
-            return float(abs(mpmath.expm1(log_scale + lw - lw_tgt)))
-        if edge == "k_hermite":
-            cs = target["c"]
-            N = int(t)                       # schedule in N = 2m^2, m even
-            m = math.isqrt(N // 2)
-            if 2 * m * m != N or m % 2 or (Fraction(x) * m).denominator != 1:
-                raise ValueError("schedule values must be N = 2m^2 with m even and m*x integer")
-            s = 2 * m                        # sqrt(2N)
-            src = Kravchuk(tuple(Fraction(1, 2) + ci / (2 * s) for ci in cs), N)
-            point = m * m + int(Fraction(x) * m)
-            log_scale = (mpmath.mpf(0.5) * mpmath.log(mpmath.pi * N / 2)
-                         + _mpf(cs[i - 1]) ** 2 / 4)
-            lw = _log_weight(src, i, point)
-            return float(abs(mpmath.expm1(log_scale + lw - _log_weight_hermite(x, cs[i - 1]))))
-        if edge == "c_hermite":
-            cs = target["c"]
-            s = int(t)
-            m = s // 2
-            if s % 2 or (Fraction(x) * s).denominator != 1:
-                raise ValueError("schedule values must be even integers s = 2m with s*x integer")
-            beta = 2 * m * m                  # s = sqrt(2 beta)
-            src = Charlier(tuple(beta + ci * m for ci in cs))
-            point = beta + int(Fraction(x) * s)
-            ci = cs[i - 1]
-            log_scale = (mpmath.mpf(0.5) * mpmath.log(2 * mpmath.pi * beta)
-                         - beta - _mpf(ci) * m + _mpf(ci) ** 2 / 4)
-            lw = _log_weight(src, i, point)
-            return float(abs(mpmath.expm1(log_scale + lw - _log_weight_hermite(x, ci))))
-        if edge == "l2_hermite":
-            cs = target["c"]
-            s = int(t)
-            m = s // 2
-            if s % 2:
-                raise ValueError("schedule values must be even integers s = 2m")
-            beta = 2 * m * m
-            y = beta + Fraction(x) * s        # continuous support point
-            ci = cs[i - 1]
-            # log w^{L2}(y; beta, 1 - c_i/s) = beta log y - (1 - c_i/s) y
-            lw = beta * mpmath.log(_mpf(y)) - _mpf(1 - Fraction(ci) / s) * _mpf(y)
-            log_scale = -beta * mpmath.log(mpmath.mpf(beta)) + beta - _mpf(ci) * m
-            return float(abs(mpmath.expm1(log_scale + lw - _log_weight_hermite(x, ci))))
-    raise ValueError(f"unknown continuous edge {edge!r}")
+def _hahn_meixner_log_scale(c, N):  # log sqrt(2 pi N) c^N (1-c)^{N(1-c)/c + 1/2}
+    return (mpmath.mpf(0.5) * mpmath.log(2 * mpmath.pi * N)
+            + N * _log_fraction(c)
+            + (_mpf((1 - c) / c) * N + mpmath.mpf(0.5)) * _log_fraction(1 - c))
 
 
-def _lgamma_q(q) -> mpmath.mpf:
-    return mpmath.loggamma(_mpf(q))
+@dataclass(frozen=True)
+class _DiscreteEdge:
+    """``source(target, t)`` gives the source parameters at limit value t,
+    ``log_scale(target, t, i)`` the log of the weight scale (None: the weights
+    are compared exactly).  ``reflect`` puts the source on x -> N - x, which
+    flips the type II sign by (-1)^{|n|} and maps b0 -> N - b0, b^j -> (-1)^{j+1} b^j."""
+
+    source: Callable
+    log_scale: Callable | None = None
+    reflect: bool = False
+
+
+_DISCRETE = {
+    "h_m2": _DiscreteEdge(
+        lambda tgt, t: Hahn(tuple(b - 1 for b in tgt.beta), (1 - tgt.c) / tgt.c * t, int(t)),
+        lambda tgt, t, i: _hahn_meixner_log_scale(tgt.c, int(t))),
+    # Meixner I's c_i meets the reflected point N - x
+    "h_m1": _DiscreteEdge(
+        lambda tgt, t: Hahn(tuple((1 - ci) / ci * t for ci in tgt.c), tgt.beta0 - 1, int(t)),
+        lambda tgt, t, i: _hahn_meixner_log_scale(tgt.c[i - 1], int(t)),
+        reflect=True),
+    "h_k": _DiscreteEdge(
+        lambda tgt, t: Hahn(tuple(q / (1 - q) * t for q in tgt.p_success), rat(t), tgt.N),
+        lambda tgt, t, i: (mpmath.loggamma(tgt.N + 1)
+                           + tgt.N * _log_fraction(1 - tgt.p_success[i - 1])
+                           - tgt.N * _log_fraction(rat(t)))),
+    # limit variable t = 1/c so every edge's error decays as t grows
+    "m2_c": _DiscreteEdge(lambda tgt, t: MeixnerII(tuple(ai * t for ai in tgt.a), 1 / rat(t))),
+    "m1_c": _DiscreteEdge(lambda tgt, t: MeixnerI(rat(t), tuple(ai / t for ai in tgt.a))),
+    "k_c": _DiscreteEdge(lambda tgt, t: Kravchuk(tuple(ai / t for ai in tgt.a), int(t)),
+                         lambda tgt, t, i: _mpf(tgt.a[i - 1])),
+}
+
+
+def _weight_errors(edge: _DiscreteEdge, target, schedule, i, perm) -> list:
+    errors = []
+    for t in schedule.values:
+        src = edge.source(target, t)
+        if edge.log_scale is None:
+            errs = [_rel_err(weight(src, i, x), weight(target, i, x)) for x in schedule.x_probes]
+        else:
+            with mpmath.workdps(_DPS):
+                log_scale = edge.log_scale(target, t, i)
+                errs = [_log_error(log_scale, _log_weight(src, i, src.N - x if edge.reflect else x),
+                                   _log_weight(target, i, x)) for x in schedule.x_probes]
+        errors.append(max(errs))
+    return errors
+
+
+def _type2_errors(edge: _DiscreteEdge, target, schedule, i, perm) -> list:
+    targets = [(n, type2(target, n)) for n in map(MultiIndex.of, schedule.n_probes)]
+    errors = []
+    for src in (edge.source(target, t) for t in schedule.values):
+        errs = []
+        for n, tgt in targets:
+            poly = type2(src, n)
+            for x in schedule.x_probes:
+                value = (-1) ** n.size * poly(src.N - x) if edge.reflect else poly(x)
+                errs.append(_rel_err(value, tgt(x)))
+        errors.append(max(errs))
+    return errors
+
+
+def _recurrence_errors(edge: _DiscreteEdge, target, schedule, i, perm) -> list:
+    perm = perm or Permutation.identity(target.p)
+    targets = [(n, nnrc(target, n, perm)) for n in map(MultiIndex.of, schedule.n_probes)]
+    errors = []
+    for src in (edge.source(target, t) for t in schedule.values):
+        errs = []
+        for n, tgt in targets:
+            raw = nnrc(src, n, perm)
+            coeffs = _scaled(raw.b0, raw.bj, src.N, -1) if edge.reflect else raw.b0 + raw.bj
+            errs += [_rel_err(a, b) for a, b in zip(coeffs, tgt.b0 + tgt.bj)]
+        errors.append(max(errs))
+    return errors
+
+
+_DISCRETE_CHECKS = {"weight": _weight_errors, "type2": _type2_errors,
+                    "recurrence": _recurrence_errors}
+
+
+# ----------------------------------------------------------------------------
+# continuous edges: each scaled source written once, shared with the
+# Richardson self-check and the Hermite routes
+
+_SELFCHECK_SOURCES = {       # the sources richardson_selfcheck shares
+    "h_jp": lambda tgt, t: Hahn(tgt["alpha"], tgt["beta"], int(t)),
+    "m1_l2": lambda tgt, t: MeixnerI(tgt["alpha0"] + 1, tuple(Fraction(int(t)) / (int(t) + ci)
+                                                              for ci in tgt["c"])),
+}
+
+
+def _kravchuk_at(cs, s) -> Kravchuk:
+    """Kravchuk at scale s = sqrt(2N) = 2m: pi_i = 1/2 + c_i/(2s), N = 2m^2."""
+    return Kravchuk(tuple(Fraction(1, 2) + ci / (2 * s) for ci in cs), s * s // 2)
+
+
+def _charlier_at(cs, s) -> Charlier:
+    """Charlier at scale s = sqrt(2 beta) = 2m: a_i = beta + c_i m, beta = 2m^2."""
+    return Charlier(tuple(s * s // 2 + ci * (s // 2) for ci in cs))
+
+
+def _laguerre2_at(cs, s):
+    """Laguerre second kind at scale s = sqrt(2 alpha0) = 2m: alpha0 = 2m^2, c_i -> 1 - c_i/s."""
+    return s * s // 2, tuple(1 - Fraction(ci) / s for ci in cs)
+
+
+# each continuous edge maps (target, t, i, x) to (log scale, source log-weight,
+# target log-weight)
+
+def _h_jp_weights(target, t, i, x):
+    ai, beta = target["alpha"][i - 1], target["beta"]
+    N = int(t)
+    point = _integer_point(Fraction(x) * N, "probe x must make N*x an integer")
+    log_scale = (mpmath.loggamma(_mpf(ai + 1)) + mpmath.loggamma(_mpf(beta + 1))
+                 - (_mpf(ai) + _mpf(beta)) * mpmath.log(N))
+    lw_tgt = _mpf(ai) * mpmath.log(_mpf(x)) + _mpf(beta) * mpmath.log(1 - _mpf(x))
+    return log_scale, _log_weight(_SELFCHECK_SOURCES["h_jp"](target, t), i, point), lw_tgt
+
+
+def _m2_l1_weights(target, t, i, x):
+    m, ai = int(t), target["alpha"][i - 1]     # m = 1/(1-c); probe support point m*x
+    c = Fraction(m - 1, m)
+    point = _integer_point(Fraction(x) * m, "probe x must make x/(1-c) an integer")
+    src = MeixnerII(tuple(a + 1 for a in target["alpha"]), c)
+    log_scale = _mpf(ai) * _log_fraction(1 - c) + mpmath.loggamma(_mpf(ai + 1))
+    return log_scale, _log_weight(src, i, point), _mpf(ai) * mpmath.log(_mpf(x)) - _mpf(x)
+
+
+def _m1_l2_weights(target, t, i, x):
+    alpha0, tau = target["alpha0"], int(t)
+    point = _integer_point(Fraction(x) * tau, "probe x must make tau*x an integer")
+    log_scale = mpmath.loggamma(_mpf(alpha0 + 1)) - _mpf(alpha0) * mpmath.log(tau)
+    lw_tgt = (_mpf(alpha0) * mpmath.log(_mpf(x)) - _mpf(target["c"][i - 1]) * _mpf(x))
+    return log_scale, _log_weight(_SELFCHECK_SOURCES["m1_l2"](target, t), i, point), lw_tgt
+
+
+def _k_hermite_weights(target, t, i, x):
+    cs = target["c"]
+    N = int(t)                       # schedule in N = 2m^2, m even
+    m = math.isqrt(N // 2)
+    if 2 * m * m != N or m % 2 or (Fraction(x) * m).denominator != 1:
+        raise ValueError("schedule values must be N = 2m^2 with m even and m*x integer")
+    point = m * m + int(Fraction(x) * m)
+    log_scale = (mpmath.mpf(0.5) * mpmath.log(mpmath.pi * N / 2)
+                 + _mpf(cs[i - 1]) ** 2 / 4)
+    return (log_scale, _log_weight(_kravchuk_at(cs, 2 * m), i, point),
+            _log_weight_hermite(x, cs[i - 1]))
+
+
+def _c_hermite_weights(target, t, i, x):
+    cs, s = target["c"], int(t)
+    m = s // 2
+    if s % 2 or (Fraction(x) * s).denominator != 1:
+        raise ValueError("schedule values must be even integers s = 2m with s*x integer")
+    beta = 2 * m * m                  # s = sqrt(2 beta)
+    point = beta + int(Fraction(x) * s)
+    ci = cs[i - 1]
+    log_scale = (mpmath.mpf(0.5) * mpmath.log(2 * mpmath.pi * beta)
+                 - beta - _mpf(ci) * m + _mpf(ci) ** 2 / 4)
+    return log_scale, _log_weight(_charlier_at(cs, s), i, point), _log_weight_hermite(x, ci)
+
+
+def _l2_hermite_weights(target, t, i, x):
+    s = int(t)
+    m = s // 2
+    if s % 2:
+        raise ValueError("schedule values must be even integers s = 2m")
+    beta, c2 = _laguerre2_at(target["c"], s)
+    y = beta + Fraction(x) * s        # continuous support point
+    ci = target["c"][i - 1]
+    # log w^{L2}(y; beta, 1 - c_i/s) = beta log y - (1 - c_i/s) y
+    lw = beta * mpmath.log(_mpf(y)) - _mpf(c2[i - 1]) * _mpf(y)
+    log_scale = -beta * mpmath.log(mpmath.mpf(beta)) + beta - _mpf(ci) * m
+    return log_scale, lw, _log_weight_hermite(x, ci)
+
+
+_CONTINUOUS = {"h_jp": _h_jp_weights, "m2_l1": _m2_l1_weights, "m1_l2": _m1_l2_weights,
+               "k_hermite": _k_hermite_weights, "c_hermite": _c_hermite_weights,
+               "l2_hermite": _l2_hermite_weights}
+
+DISCRETE_EDGES = tuple(_DISCRETE)
+CONTINUOUS_EDGES = tuple(_CONTINUOUS)
 
 
 # ----------------------------------------------------------------------------
@@ -346,32 +369,21 @@ def limit_edge(schedule: LimitSchedule, check: str, target,
     three points and a fitted log-log slope inside ``slope_band``.
     """
     edge = schedule.edge
-    if edge in DISCRETE_EDGES:
-        if check == "weight":
-            errors = [max(_discrete_weight_error(edge, target, t, i, x)
-                          for x in schedule.x_probes)
-                      for t in schedule.values]
-        elif check == "type2":
-            errors = [max(_discrete_type2_error(edge, target, t, MultiIndex.of(n), x)
-                          for n in schedule.n_probes for x in schedule.x_probes)
-                      for t in schedule.values]
-        elif check == "recurrence":
-            p = perm or Permutation.identity(target.p)
-            errors = [max(_discrete_recurrence_error(edge, target, t, MultiIndex.of(n), p)
-                          for n in schedule.n_probes)
-                      for t in schedule.values]
-        else:
+    if edge in _DISCRETE:
+        if check not in _DISCRETE_CHECKS:
             raise ValueError(f"unknown check {check!r}")
-        return _fit_report(edge, check, schedule.values, errors, slope_band)
-    if edge in CONTINUOUS_EDGES:
+        errors = _DISCRETE_CHECKS[check](_DISCRETE[edge], target, schedule, i, perm)
+    elif edge in _CONTINUOUS:
         if check != "weight":
             raise ValueError("continuous edges check weights here; coefficient routes "
                              "go through hermite_route_consistency / richardson_selfcheck")
-        errors = [max(_continuous_weight_error(edge, target, t, i, x)
-                      for x in schedule.x_probes)
-                  for t in schedule.values]
-        return _fit_report(edge, check, schedule.values, errors, slope_band)
-    raise ValueError(f"unknown edge {edge!r}")
+        with mpmath.workdps(_DPS):
+            errors = [max(_log_error(*_CONTINUOUS[edge](target, t, i, x))
+                          for x in schedule.x_probes)
+                      for t in schedule.values]
+    else:
+        raise ValueError(f"unknown edge {edge!r}")
+    return _fit_report(edge, check, schedule.values, errors, slope_band)
 
 
 # ----------------------------------------------------------------------------
@@ -391,59 +403,36 @@ def laguerre2_recurrence(alpha0, cs, n: MultiIndex, perm: Permutation):
     alpha0 = rat(alpha0)
     cs = [rat(c) for c in cs]
     p, sz = len(cs), n.size
-    b0 = []
-    for k in range(1, p + 1):
-        v = (alpha0 + sz + 1) / cs[k - 1]
-        for idx in range(p):
-            v += Fraction(n[idx]) / cs[idx]
-        b0.append(v)
+    shift = sum(Fraction(n[idx]) / cs[idx] for idx in range(p))
+    b0 = [(alpha0 + sz + 1) / ck + shift for ck in cs]
     bj = []
     for j in range(1, p + 1):
         _, S, Sc = step_sets(perm, j)
-        acc = Fraction(0)
-        for i in S:
-            term = Fraction(n[i - 1]) / cs[i - 1] ** (j + 1)
-            for q in Sc:
-                term *= (cs[q - 1] - cs[i - 1]) / cs[q - 1]
-            acc += term
+        acc = sum(Fraction(n[i - 1]) / cs[i - 1] ** (j + 1)
+                  * math.prod((cs[q - 1] - cs[i - 1]) / cs[q - 1] for q in Sc) for i in S)
         bj.append(pochhammer(alpha0 + sz - j + 1, j) * acc)
     return tuple(b0), tuple(bj)
 
 
-# each Hermite route at scale s = 2m: raw b0 and b^j, the centre of b0, the scale
+# each Hermite route's scaled recurrence coefficients at scale s = 2m (exact)
 
-def _kravchuk_route(cs, n, perm, s, m):
-    N = 2 * m * m
-    raw = nnrc(Kravchuk(tuple(Fraction(1, 2) + ci / (2 * s) for ci in cs), N), n, perm)
-    return raw.b0, raw.bj, Fraction(N, 2), Fraction(2, s)
-
-
-def _charlier_route(cs, n, perm, s, m):
-    beta = 2 * m * m
-    raw = nnrc(Charlier(tuple(beta + ci * m for ci in cs)), n, perm)
-    return raw.b0, raw.bj, beta, Fraction(1, s)
+def _kravchuk_route(cs, n, perm, s):
+    raw = nnrc(_kravchuk_at(cs, s), n, perm)
+    return _scaled(raw.b0, raw.bj, Fraction(s * s, 4), Fraction(2, s))
 
 
-def _laguerre2_route(cs, n, perm, s, m):
-    beta = 2 * m * m
-    rb0, rbj = laguerre2_recurrence(beta, [1 - ci / s for ci in cs], n, perm)
-    return rb0, rbj, beta, Fraction(1, s)
+def _charlier_route(cs, n, perm, s):
+    raw = nnrc(_charlier_at(cs, s), n, perm)
+    return _scaled(raw.b0, raw.bj, s * s // 2, Fraction(1, s))
+
+
+def _laguerre2_route(cs, n, perm, s):
+    beta, c2 = _laguerre2_at(cs, s)
+    return _scaled(*laguerre2_recurrence(beta, c2, n, perm), beta, Fraction(1, s))
 
 
 _HERMITE_ROUTES = {"kravchuk": _kravchuk_route, "charlier": _charlier_route,
                    "laguerre2": _laguerre2_route}
-
-
-def _hermite_route_values(route: str, cs, n: MultiIndex, perm: Permutation, s: int):
-    """Scaled recurrence coefficients of one route at scale s = 2m (exact)."""
-    m = s // 2
-    if s % 2:
-        raise ValueError("route scales must be even integers")
-    if route not in _HERMITE_ROUTES:
-        raise ValueError(f"unknown Hermite route {route!r}")
-    b0, bj, centre, scale = _HERMITE_ROUTES[route]([rat(c) for c in cs], n, perm, s, m)
-    return (tuple(scale * (v - centre) for v in b0)
-            + tuple(scale ** (j + 1) * v for j, v in enumerate(bj, start=1)))
 
 
 def _neville_at_zero(us, vs) -> Fraction:
@@ -478,20 +467,17 @@ def hermite_route_consistency(cs, n: MultiIndex, perm: Permutation | None = None
     Neville extrapolation over the (exact) schedule values gives exact route
     limits; the mutual-consistency check replaces an external target.
     """
-    n = MultiIndex.of(n)
-    perm = perm or Permutation.identity(len(tuple(cs)))
-    routes = ("kravchuk", "charlier", "laguerre2")
-    limits = {}
-    for route in routes:
-        us = [Fraction(1, int(s)) for s in scales]
-        series = [_hermite_route_values(route, cs, n, perm, int(s)) for s in scales]
-        limits[route] = tuple(_neville_at_zero(us, [row[j] for row in series])
-                              for j in range(len(series[0])))
-    worst = 0.0
-    for a in range(len(routes)):
-        for b in range(a + 1, len(routes)):
-            for va, vb in zip(limits[routes[a]], limits[routes[b]]):
-                worst = max(worst, float(abs(va - vb)))
+    if any(int(s) % 2 for s in scales):
+        raise ValueError("route scales must be even integers")
+    n, cs = MultiIndex.of(n), [rat(c) for c in cs]
+    perm = perm or Permutation.identity(len(cs))
+    us = [Fraction(1, int(s)) for s in scales]
+    limits = {route: tuple(_neville_at_zero(us, column)
+                           for column in zip(*(values_at(cs, n, perm, int(s)) for s in scales)))
+              for route, values_at in _HERMITE_ROUTES.items()}
+    routes = tuple(limits)
+    worst = max(float(abs(va - vb)) for a, b in combinations(routes, 2)
+                for va, vb in zip(limits[a], limits[b]))
     return HermiteConsistencyReport(routes, tuple(int(s) for s in scales), limits,
                                     worst, tolerance)
 
@@ -541,40 +527,21 @@ def richardson_selfcheck(edge: str, target, schedule, n, perm: Permutation | Non
                          slope_band=(-1.3, -0.7)) -> ConvergenceReport:
     """Convergence of scaled recurrence coefficients on a continuous edge.
 
-    The continuous closed forms are out of scope, so a one-level Richardson
-    extrapolation from the two largest schedule points defines the target;
-    the earlier points' errors against it drive the slope fit.
+    The continuous closed forms are out of scope, so the target is the exact
+    extrapolation to u = 1/t = 0 through the two largest schedule points (one
+    Richardson level, which is ``_neville_at_zero`` on two points); the
+    earlier points' errors against it drive the slope fit.
     """
-    n = MultiIndex.of(n)
-    if edge == "h_jp":
-        alpha, beta = target["alpha"], target["beta"]
-        perm = perm or Permutation.identity(len(alpha))
-
-        def values_at(N):
-            raw = nnrc(Hahn(alpha, beta, int(N)), n, perm)
-            vals = [v / N for v in raw.b0]
-            vals += [v / Fraction(int(N)) ** (j + 1) for j, v in enumerate(raw.bj, start=1)]
-            return vals
-    elif edge == "m1_l2":
-        alpha0, cs = target["alpha0"], target["c"]
-        perm = perm or Permutation.identity(len(cs))
-
-        def values_at(tau):
-            params = MeixnerI(alpha0 + 1, tuple(Fraction(int(tau)) / (int(tau) + ci)
-                                                for ci in cs))
-            raw = nnrc(params, n, perm)
-            vals = [v / int(tau) for v in raw.b0]
-            vals += [v / Fraction(int(tau)) ** (j + 1) for j, v in enumerate(raw.bj, start=1)]
-            return vals
-    else:
+    if edge not in _SELFCHECK_SOURCES:
         raise ValueError(f"no self-consistency route for edge {edge!r}")
-
-    series = [values_at(t) for t in schedule]
-    t1, t2 = Fraction(int(schedule[-2])), Fraction(int(schedule[-1]))
-    ratio = t2 / t1
-    targets = [(ratio * b - a) / (ratio - 1) for a, b in zip(series[-2], series[-1])]
-    errors = []
-    for row in series[:-1]:
-        errors.append(max(_rel_err(v, tv) for v, tv in zip(row, targets)))
+    n = MultiIndex.of(n)
+    series = []
+    for t in schedule:
+        src = _SELFCHECK_SOURCES[edge](target, t)
+        raw = nnrc(src, n, perm or Permutation.identity(src.p))
+        series.append(_scaled(raw.b0, raw.bj, 0, Fraction(1, int(t))))
+    us = [1 / Fraction(int(t)) for t in schedule[-2:]]
+    targets = [_neville_at_zero(us, pair) for pair in zip(series[-2], series[-1])]
+    errors = [max(_rel_err(v, tv) for v, tv in zip(row, targets)) for row in series[:-1]]
     return _fit_report(edge, "recurrence_selfconsistency",
                        tuple(schedule[:-1]), tuple(errors), slope_band)

@@ -15,6 +15,7 @@ import os
 import sys
 from fractions import Fraction
 
+from .analytic.limits import CONTINUOUS_EDGES, DISCRETE_EDGES
 from .errors import MopolyError, ParameterError
 from .exact.indices import MultiIndex, Permutation
 from .exact.rationals import rat, rat_to_str
@@ -153,18 +154,18 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_limits(args) -> int:
+    edges = DISCRETE_EDGES + CONTINUOUS_EDGES
+    wanted = args.edges.split(",") if args.edges else edges
+    if unknown := [e for e in wanted if e not in edges]:
+        raise MopolyError(f"unknown edge(s) {', '.join(unknown)}; valid edges: {', '.join(edges)}")
     report = verify.run_limit_suite(args.seed, hermite_tol=args.hermite_tol)
-    if args.edges:
-        wanted = set(args.edges.split(","))
-        report["edges"] = {k: v for k, v in report["edges"].items() if k in wanted}
+    report["edges"] = {k: v for k, v in report["edges"].items() if k in wanted}
     if args.csv:
         with open(args.csv, "w") as fh:
             fh.write("edge,check,schedule_value,error\n")
-            decades = (100, 1000, 10000, 100000)
             for edge, checks in sorted(report["edges"].items()):
                 for check, data in sorted(checks.items()):
-                    values = data.get("schedule", decades)
-                    for t, err in zip(values, data["errors"]):
+                    for t, err in zip(data["schedule"], data["errors"]):
                         fh.write(f"{edge},{check},{t},{err!r}\n")
     return _emit(report, _summarize(report), report["passed"])
 

@@ -24,6 +24,7 @@ from fractions import Fraction
 
 from .analytic.integrals import closed_form_value, contour_quadrature, integral_representation
 from .analytic.limits import (
+    DISCRETE_EDGES,
     LimitSchedule,
     hermite_route_consistency,
     limit_edge,
@@ -333,18 +334,18 @@ def run_integral_suite(seed: int = 0, nodes: int = 256, rel_tol: float = 1e-8,
 
 
 def default_limit_targets() -> dict:
-    """AT-safe targets for every edge (offsets keep substituted Hahn parameters
-    off integer differences for the decade schedule values)."""
+    """AT-safe targets: family parameters for the discrete edges, endpoint-weight
+    dicts for the continuous ones (offsets keep Hahn sources off integer differences)."""
     F = Fraction
     return {
         "h_m2": MeixnerII((F(3, 2), F(14, 5)), F(1, 3)),
         "h_m1": MeixnerI(F(3, 2), (F(7, 10), F(11, 14))),
-        "h_k": {"pi": (F(1, 4), F(3, 5)), "N": 7},
+        "h_k": Kravchuk((F(1, 4), F(3, 5)), 7),
         # a_1 - a_2 has denominator 7, so a_i / c stays AT-safe down the whole
         # decade schedule of c
-        "m2_c": {"a": (F(15, 7), F(7, 2))},
-        "m1_c": {"a": (F(2), F(7, 2))},
-        "k_c": {"a": (F(2), F(7, 2))},
+        "m2_c": Charlier((F(15, 7), F(7, 2))),
+        "m1_c": Charlier((F(2), F(7, 2))),
+        "k_c": Charlier((F(2), F(7, 2))),
         "h_jp": {"alpha": (F(8, 7), F(16, 7)), "beta": F(1, 3)},
         "m2_l1": {"alpha": (F(8, 7), F(16, 7))},
         "m1_l2": {"alpha0": F(1, 3), "c": (F(1, 2), F(5, 4))},
@@ -368,35 +369,27 @@ def run_limit_suite(seed: int = 0, hermite_tol: float = 1e-6) -> dict:
     report = {"check": "limits", "seed": seed, "edges": {}, "gamma_asymptotics": {}}
     all_ok = True
 
-    discrete = {
-        "h_m2": targets["h_m2"],
-        "h_m1": targets["h_m1"],
-        "h_k": Kravchuk(targets["h_k"]["pi"], targets["h_k"]["N"]),
-        "m2_c": Charlier(targets["m2_c"]["a"]),
-        "m1_c": Charlier(targets["m1_c"]["a"]),
-        "k_c": Charlier(targets["k_c"]["a"]),
-    }
-    for edge, tgt in discrete.items():
+    for edge in DISCRETE_EDGES:
         sched = LimitSchedule(edge, decades, x_probes=(0, 1, 3),
                               n_probes=((1, 0), (1, 1), (2, 1)))
         edge_report = {}
         for check in ("weight", "type2", "recurrence"):
-            rep = limit_edge(sched, check, tgt, i=1)
+            rep = limit_edge(sched, check, targets[edge], i=1)
             edge_report[check] = _edge_record(rep)
             all_ok = all_ok and rep.passed
         report["edges"][edge] = edge_report
 
-    continuous = {
-        "h_jp": (targets["h_jp"], decades, (F(1, 2),)),
-        "m2_l1": (targets["m2_l1"], decades, (1,)),
-        "m1_l2": (targets["m1_l2"], decades, (1,)),
-        "k_hermite": (targets["k_hermite"], (128, 1352, 12800, 131072), (F(1, 2),)),
-        "c_hermite": (targets["c_hermite"], decades, (F(1, 2),)),
-        "l2_hermite": (targets["l2_hermite"], decades, (F(1, 2),)),
+    continuous = {                   # edge -> (schedule, x probes)
+        "h_jp": (decades, (F(1, 2),)),
+        "m2_l1": (decades, (1,)),
+        "m1_l2": (decades, (1,)),
+        "k_hermite": ((128, 1352, 12800, 131072), (F(1, 2),)),
+        "c_hermite": (decades, (F(1, 2),)),
+        "l2_hermite": (decades, (F(1, 2),)),
     }
-    for edge, (tgt, values, xs) in continuous.items():
+    for edge, (values, xs) in continuous.items():
         sched = LimitSchedule(edge, values, x_probes=xs)
-        rep = limit_edge(sched, "weight", tgt, i=1)
+        rep = limit_edge(sched, "weight", targets[edge], i=1)
         report["edges"][edge] = {"weight": _edge_record(rep)}
         all_ok = all_ok and rep.passed
 

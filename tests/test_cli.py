@@ -129,6 +129,13 @@ def test_limits_subcommand_small():
     assert set(payload["edges"]) == {"k_c"}
 
 
+def test_limits_rejects_unknown_edge(capsys):
+    assert cli.run(["limits", "--edges", "k_c,bogus"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "bogus" in err and "h_m2" in err and "l2_hermite" in err
+
+
 def test_config_file_defaults(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"family": "charlier", "a": "2", "n": "3"}))

@@ -9,10 +9,6 @@ from mopoly.analytic import (
     limit_edge,
     richardson_selfcheck,
     stirling_ratio_check,
-    weight_hermite,
-    weight_jacobi_pineiro,
-    weight_laguerre1,
-    weight_laguerre2,
 )
 from mopoly.exact import MultiIndex, Permutation
 from mopoly.families import Charlier, Kravchuk, MeixnerI, MeixnerII, nnrc
@@ -23,13 +19,6 @@ def test_schedule_validation():
         LimitSchedule("k_c", (10, 100, 1000))           # too few points
     with pytest.raises(ValueError):
         LimitSchedule("k_c", (10, 20, 40, 80))          # under 3 decades
-
-
-def test_continuous_weight_values():
-    assert weight_jacobi_pineiro(F(1, 2), 1, 2) == 0.5 * 0.25
-    assert abs(weight_laguerre1(2.0, 1) - 2 * pow(2.718281828459045, -2)) < 1e-12
-    assert weight_laguerre2(1.0, 0, 3) == pytest.approx(pow(2.718281828459045, -3))
-    assert weight_hermite(0.0, 5) == 1.0
 
 
 def test_kravchuk_to_charlier_coefficient_limit():
@@ -103,7 +92,11 @@ def test_gamma_asymptotics_slopes():
     assert -0.8 <= rep.slope <= -0.2
 
 
-def test_richardson_selfcheck_jp():
-    rep = richardson_selfcheck("h_jp", {"alpha": (F(8, 7), F(16, 7)), "beta": F(1, 3)},
-                               (100, 1000, 10000, 100000, 1000000), (1, 1))
-    assert rep.passed
+@pytest.mark.parametrize("edge, target, n", [
+    ("h_jp", {"alpha": (F(8, 7), F(16, 7)), "beta": F(1, 3)}, (1, 1)),
+    ("m1_l2", {"alpha0": F(1, 3), "c": (F(1, 2), F(5, 4))}, (2, 1)),
+], ids=["h_jp", "m1_l2"])
+def test_richardson_selfcheck(edge, target, n):
+    rep = richardson_selfcheck(edge, target, (100, 1000, 10000, 100000, 1000000), n)
+    assert rep.passed, (rep.slope, rep.errors)
+    assert len(rep.errors) == 4
