@@ -6,7 +6,7 @@ from .combinatorics import (
     pochhammer,
     stirling2,
 )
-from .hypergeometric import HypSeriesSpec, eval_kampe_de_feriet, eval_pfq_terminating
+from .hypergeometric import eval_pfq_terminating
 from .identities import IDENTITY_NAMES, IdentityReport, hahn_sum_coefficient, verify_identity
 from .indices import MultiIndex, Permutation, all_permutations, multi_indices, step_sets
 from .polynomials import NEG_INF, Poly, expand_in_monomials, lagrange_interpolate
@@ -15,7 +15,7 @@ from .rationals import rat, rat_to_str
 __all__ = [
     "binomial", "factorial", "falling_factorial", "is_nonpositive_int",
     "pochhammer", "stirling2",
-    "HypSeriesSpec", "eval_kampe_de_feriet", "eval_pfq_terminating",
+    "eval_pfq_terminating",
     "IDENTITY_NAMES", "IdentityReport", "hahn_sum_coefficient", "verify_identity",
     "MultiIndex", "Permutation", "all_permutations", "multi_indices", "step_sets",
     "NEG_INF", "Poly", "expand_in_monomials", "lagrange_interpolate",

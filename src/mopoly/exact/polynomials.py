@@ -6,7 +6,11 @@ never -1) so that degree arithmetic stays honest.
 
 from __future__ import annotations
 
+import functools
+import operator
 from fractions import Fraction
+
+from .rationals import over_lcm
 
 NEG_INF = float("-inf")
 
@@ -17,7 +21,7 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -150,26 +154,38 @@ def expand_in_monomials(terms) -> Poly:
 
         sum_l c_l (x + s)_l = c_0 + (x + s) (c_1 + (x + s + 1) (c_2 + ...)),
 
-    which is exact by distributivity.
+    which is exact by distributivity.  The nesting runs in integers: with d
+    the lcm of the denominators of the c_l, s = u / v and L the top index, it
+    expands d v^L times the sum, whose factors are v x + u + l v, and divides
+    once per output coefficient.
     """
     families: dict[tuple, dict[int, Fraction]] = {}
     for coeff, spec in terms:
         coeffs = families.setdefault(spec[:-1], {})
-        coeffs[spec[-1]] = coeffs.get(spec[-1], 0) + Fraction(coeff)
-    total = Poly.zero()
+        l = spec[-1]
+        coeffs[l] = coeffs[l] + coeff if l in coeffs else coeff
+    polys = []
     for family, coeffs in families.items():
         if family == ("neg_x",):
-            shift, sign = Fraction(0), -1     # factors (k - x)
+            u, v, sign = 0, 1, -1     # factors (k - x)
         elif family[0] == "shifted" and len(family) == 2:
-            shift, sign = Fraction(family[1]), 1   # factors (x + s + k)
+            shift = Fraction(family[1])   # factors (x + s + k) = (v x + u + k v) / v
+            u, v, sign = shift.numerator, shift.denominator, 1
         else:
             raise ValueError(f"unknown basis family {family!r}")
-        acc: list[Fraction] = []
-        for l in range(max(coeffs), -1, -1):
-            nxt = [(shift + l) * c for c in acc] + [Fraction(0)]
+        top = max(coeffs)
+        d, ints = over_lcm(coeffs.get(l, 0) for l in range(top + 1))
+        # acc: d v^(top - l) (c_l + (x + s + l) (c_{l+1} + ...)) with integer coefficients
+        acc: list[int] = []
+        scale, slope = 1, sign * v
+        for l in range(top, -1, -1):
+            a = u + l * v
+            nxt = [a * c for c in acc] + [0]
             for k, c in enumerate(acc):
-                nxt[k + 1] += sign * c
-            nxt[0] += coeffs.get(l, 0)
+                nxt[k + 1] += slope * c
+            nxt[0] += ints[l] * scale
             acc = nxt
-        total = total + Poly(acc)
-    return total
+            scale *= v
+        den = d * v ** top
+        polys.append(Poly([Fraction(c, den) for c in acc]))
+    return functools.reduce(operator.add, polys) if polys else Poly()

@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
 from ..errors import ParameterError
 from ..families.params import FamilyParams
 from ..families.weights import weight
@@ -51,8 +49,10 @@ def validate_closed_form(params: FamilyParams, i: int, jmax: int,
     once the running tail estimate for the largest needed power drops below
     ``tail_bound`` relative to the accumulated value.  Returns one relative
     error per moment order; all must be below ``rel_tol`` for valid closed
-    forms.
+    forms.  mpmath is imported here, so the exact layer loads no float library.
     """
+    import mpmath
+
     table = normalized_moments(params, i, jmax)
     with mpmath.workdps(dps):
         sums = [mpmath.mpf(0) for _ in range(jmax + 1)]
@@ -95,6 +95,7 @@ def validate_closed_form(params: FamilyParams, i: int, jmax: int,
 
 
 def _to_mpf(q: Fraction) -> mpmath.mpf:
+    import mpmath
     return mpmath.mpf(q.numerator) / q.denominator
 
 

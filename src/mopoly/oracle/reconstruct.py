@@ -20,20 +20,25 @@ One ``OracleContext`` per parameter draw holds its moment tables, solves each
 B_n and A_hat_m once and computes each pairing once for all permutations, as
 the dot product of the coefficients of A_hat^{(i)}_m with
 v_i[r] = sum_j b_j mu_i[j+1+r] (b_j the coefficients of B_n, mu_i the
-moments), so no polynomial product is formed.
+moments), so no polynomial product is formed.  The dot products run in
+integers: each moment table, B_n and A_hat^{(i)}_m is held over the lcm of
+its denominators (``over_lcm``), and one Fraction is built per component.
 ``type2_residual_vanishes`` checks the type II recurrence by evaluation at
-integer nodes, which is exact (see there).
+integer nodes, which is exact, in integers over one denominator (see there).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from ..errors import InvalidShiftError
 from ..exact.indices import MultiIndex, Permutation, step_sets
 from ..exact.polynomials import Poly
+from ..exact.rationals import over_lcm
 from ..families.params import FamilyParams
 from ..families.recurrence import RecurrenceCoefficients, nnrc
 from ..families.closed_forms import type2
@@ -65,7 +70,8 @@ class OracleContext:
 
     def __init__(self, params: FamilyParams):
         self.params = params
-        self._moments: list[list[Fraction]] = [[]] * params.p
+        # the moment tables and each one over its lcm, (D_i, D_i mu_i), regrown together
+        self._tables: tuple[list, list] = ([[]] * params.p, [(1, [])] * params.p)
         self._type2: dict = {}
         self._type1: dict = {}
         self._xb_moments: dict = {}
@@ -73,11 +79,15 @@ class OracleContext:
 
     def moments(self, jmax: int) -> list[list[Fraction]]:
         """The p tables mu_i[0..J], J >= jmax, of the normalized weights."""
-        tables = self._moments
-        if len(tables[0]) <= jmax:
-            tables = self._moments = [self.params.moments(i, jmax + 2)
-                                      for i in range(1, self.params.p + 1)]
-        return tables
+        return self._grown(jmax)[0]
+
+    def _grown(self, jmax: int) -> tuple[list, list]:
+        """The moment tables covering jmax and the same tables over their lcms."""
+        grown = self._tables
+        if len(grown[0][0]) <= jmax:
+            tables = [self.params.moments(i, jmax + 2) for i in range(1, self.params.p + 1)]
+            grown = self._tables = (tables, [over_lcm(t) for t in tables])
+        return grown
 
     def type2(self, n) -> Poly:
         """The unique monic B_n with sum_x x^j B_n w_hat_i = 0 for j < n_i, solved once."""
@@ -118,24 +128,32 @@ class OracleContext:
         return comps
 
     def _pairing(self, n: MultiIndex, m: MultiIndex) -> Fraction:
-        """<x B_n, A_hat_m> for a neighbour m of n, one with m_i <= n_i + 1."""
+        """<x B_n, A_hat_m> for a neighbour m of n, one with m_i <= n_i + 1.
+
+        One integer dot product per component i over the product of the
+        denominators of v_i and of A_hat^{(i)}_m.
+        """
         key = (n.entries, m.entries)
         value = self._pairings.get(key)
         if value is None:
+            comps = [over_lcm(c.coeffs) for c in self.type1(m)]
             value = self._pairings[key] = sum(
-                (a * vr for v, comp in zip(self._xb_vectors(n), self.type1(m))
-                 for a, vr in zip(comp.coeffs, v)), Fraction(0))
+                Fraction(sum(map(operator.mul, a, v)), d_a * d_v)
+                for (d_v, v), (d_a, a) in zip(self._xb_vectors(n), comps))
         return value
 
-    def _xb_vectors(self, n: MultiIndex) -> list[list[Fraction]]:
-        """v_i[r] = sum_x x^{r+1} B_n(x) w_hat_i(x) for r = 0..n_i, one list per i."""
+    def _xb_vectors(self, n: MultiIndex) -> list[tuple[int, list[int]]]:
+        """v_i[r] = sum_x x^{r+1} B_n(x) w_hat_i(x) for r = 0..n_i, as (den, ints) per i.
+
+        With B_n = P / d and mu_i = M_i / D_i over their lcms, v_i[r] is
+        sum_j P_j M_i[j + 1 + r] over d D_i.
+        """
         vectors = self._xb_moments.get(n.entries)
         if vectors is None:
-            b = self.type2(n).coeffs
-            tables = self.moments(len(b) + max(n.entries))
-            vectors = [[sum((bj * t[j + 1 + r] for j, bj in enumerate(b) if bj), Fraction(0))
-                        for r in range(ni + 1)]
-                       for t, ni in zip(tables, n.entries)]
+            d, b = over_lcm(self.type2(n).coeffs)
+            _, tables = self._grown(len(b) + max(n.entries))
+            vectors = [(d * d_mu, [sum(map(operator.mul, b, mu[r + 1:])) for r in range(ni + 1)])
+                       for (d_mu, mu), ni in zip(tables, n.entries)]
             self._xb_moments[n.entries] = vectors
         return vectors
 
@@ -217,11 +235,16 @@ def type2_residual_vanishes(n: MultiIndex, perm: Permutation, k: int,
                             values: dict) -> bool | None:
     """Whether x B_n - B_{n+e_k} - b0_n(k) B_n - sum_j b^j_n B_{n-s_j} is zero.
 
-    ``type2_of(entries)`` supplies each B; ``values`` caches their values at
-    the nodes 0, 1, ... by entries, for reuse across one parameter draw.  The
-    residual's degree is below D, the largest coefficient length among x B_n
-    and the shifted B's, so vanishing at 0..D-1 is exactly ``is_zero()``.  A
-    shift n - s_j leaving N_0^p drops its term when b^j_n = 0; otherwise the
+    ``type2_of(entries)`` supplies each B.  ``values`` caches, by entries and
+    for reuse across one parameter draw, (d, P, V): d the lcm of the
+    denominators of B's coefficients, P = d B with integer coefficients, and
+    V its integer values at the nodes 0, 1, ...  The residual's degree is below
+    D, the largest coefficient length among x B_n and the shifted B's, so
+    vanishing at 0..D-1 is exactly ``is_zero()``.  Each term's coefficient c
+    over its B's d_m becomes one integer multiplier of L, the lcm of the
+    den(c) d_m (with den(b0) d_n for the B_n terms), so L times the residual
+    at each node is a sum of integer products, compared with 0.  A shift
+    n - s_j leaving N_0^p drops its term when b^j_n = 0; otherwise the
     relation does not apply and the result is None.
     """
     terms = [(-1, n.add_unit(k).entries)]
@@ -234,10 +257,22 @@ def type2_residual_vanishes(n: MultiIndex, perm: Permutation, k: int,
     polys = {m: type2_of(m) for m in (n.entries, *(m for _, m in terms))}
     nodes = max(len(polys[n.entries].coeffs) + 1, *(len(b.coeffs) for b in polys.values()))
     for m, b in polys.items():
-        cached = values.setdefault(m, [])
-        cached.extend(b(t) for t in range(len(cached), nodes))
-    b0, b_n = coeffs.b0[k - 1], values[n.entries]
-    return all((t - b0) * b_n[t] + sum(c * values[m][t] for c, m in terms) == 0
+        if m not in values:
+            values[m] = (*over_lcm(b.coeffs), [])
+        _, ints, cached = values[m]
+        for t in range(len(cached), nodes):
+            acc = 0
+            for c in reversed(ints):
+                acc = acc * t + c
+            cached.append(acc)
+    b0 = coeffs.b0[k - 1]
+    d_n, _, v_n = values[n.entries]
+    shifted = [(c, values[m]) for c, m in terms if c]
+    lcm = math.lcm(b0.denominator * d_n, *(c.denominator * d for c, (d, _, _) in shifted))
+    at_t = lcm // d_n                                     # multiplies t B_n(t)
+    scaled = [(-b0.numerator * (lcm // (b0.denominator * d_n)), v_n)]
+    scaled += [(c.numerator * (lcm // (c.denominator * d)), v) for c, (d, _, v) in shifted]
+    return all(at_t * t * v_n[t] + sum(a * v[t] for a, v in scaled) == 0
                for t in range(nodes))
 
 

@@ -14,6 +14,13 @@ from fractions import Fraction
 
 from .families.params import Charlier, FamilyParams, Hahn, Kravchuk, MeixnerI, MeixnerII
 
+# the sweep specs: multi-index sizes, draws per (family, p) and identity trials
+SWEEPS = {
+    "small": {"p_values": (1, 2), "n_max": 3, "draws": 4, "identity_trials": 40},
+    "standard": {"p_values": (1, 2, 3), "n_max": 5, "draws": 25, "identity_trials": 200},
+    "deep": {"p_values": (1, 2, 3), "n_max": 6, "draws": 40, "identity_trials": 400},
+}
+
 _DENOMS = (7, 11, 13)
 
 

@@ -9,12 +9,14 @@ The closed-vs-oracle sweep keeps three caches per parameter draw: an
 ``OracleContext`` that holds the draw's moment tables and solves each oracle
 B_n and A_hat_m and each recurrence pairing once for every permutation and
 shift, the closed-form type II polynomials (each built once, whether the
-sweep over n or a shifted residual trial needs it first), and their values at
-the integer nodes.  The biorthogonality suite shares one ``OracleContext`` per
-draw the same way.
+sweep over n or a shifted residual trial needs it first), and each one's
+integer multiple d B (d the lcm of its denominators) with its integer values
+at the nodes 0, 1, ...  The biorthogonality suite shares one ``OracleContext``
+per draw the same way.
 The recurrence identity is checked by evaluating its residual at those nodes
-(``type2_residual_vanishes``), which is exact.  Every closed form is still
-computed as printed and compared for every (n, i, permutation).
+(``type2_residual_vanishes``), which is exact: each node is an integer sum
+over one common denominator.  Every closed form is still computed as printed
+and compared for every (n, i, permutation).
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from fractions import Fraction
 
 from .analytic.integrals import closed_form_value, contour_quadrature, integral_representation
 from .analytic.limits import (
+    CONTINUOUS_EDGES,
     DISCRETE_EDGES,
     LimitSchedule,
     hermite_route_consistency,
@@ -31,7 +34,7 @@ from .analytic.limits import (
     stirling_ratio_check,
 )
 from .analytic.rodrigues import rodrigues_type1
-from .errors import InvalidShiftError
+from .errors import InvalidShiftError, MopolyError
 from .exact.indices import MultiIndex, Permutation, all_permutations, multi_indices
 from .exact.identities import IDENTITY_NAMES, verify_identity
 from .families.closed_forms import type1, type1_alt_equivalence, type2
@@ -46,13 +49,7 @@ from .oracle.reconstruct import (
     oracle_nnrc,
     type2_residual_vanishes,
 )
-from .sampling import draw_params, draw_params_moderate, rational
-
-SWEEPS = {
-    "small": {"p_values": (1, 2), "n_max": 3, "draws": 4, "identity_trials": 40},
-    "standard": {"p_values": (1, 2, 3), "n_max": 5, "draws": 25, "identity_trials": 200},
-    "deep": {"p_values": (1, 2, 3), "n_max": 6, "draws": 40, "identity_trials": 400},
-}
+from .sampling import SWEEPS, draw_params, draw_params_moderate, rational
 
 
 def _recurrence_identity_cached(params, n, perm, k, coeffs, t2cache, values):
@@ -361,15 +358,26 @@ def _edge_record(rep) -> dict:
             "errors": list(rep.errors), "passed": rep.passed}
 
 
-def run_limit_suite(seed: int = 0, hermite_tol: float = 1e-6) -> dict:
-    """Criterion 8: slope-band checks on every edge plus the Hermite routes."""
+def run_limit_suite(seed: int = 0, hermite_tol: float = 1e-6, edges=None) -> dict:
+    """Criterion 8: slope-band checks on every edge plus the Hermite routes.
+
+    ``edges`` names the edges to run; then ``passed`` covers those alone, and
+    the Hermite routes and gamma checks, which belong to no edge, run only in
+    the full suite (``edges`` None).
+    """
     F = Fraction
+    known = DISCRETE_EDGES + CONTINUOUS_EDGES
+    wanted = known if edges is None else tuple(edges)
+    if unknown := [e for e in wanted if e not in known]:
+        raise MopolyError(f"unknown edge(s) {', '.join(unknown)}; valid edges: {', '.join(known)}")
     targets = default_limit_targets()
     decades = (100, 1000, 10000, 100000)
-    report = {"check": "limits", "seed": seed, "edges": {}, "gamma_asymptotics": {}}
+    report = {"check": "limits", "seed": seed, "edges": {}}
     all_ok = True
 
     for edge in DISCRETE_EDGES:
+        if edge not in wanted:
+            continue
         sched = LimitSchedule(edge, decades, x_probes=(0, 1, 3),
                               n_probes=((1, 0), (1, 1), (2, 1)))
         edge_report = {}
@@ -388,25 +396,29 @@ def run_limit_suite(seed: int = 0, hermite_tol: float = 1e-6) -> dict:
         "l2_hermite": (decades, (F(1, 2),)),
     }
     for edge, (values, xs) in continuous.items():
+        if edge not in wanted:
+            continue
         sched = LimitSchedule(edge, values, x_probes=xs)
         rep = limit_edge(sched, "weight", targets[edge], i=1)
         report["edges"][edge] = {"weight": _edge_record(rep)}
         all_ok = all_ok and rep.passed
 
-    routes = hermite_route_consistency(targets["k_hermite"]["c"],
-                                       MultiIndex.of((2, 1)),
-                                       tolerance=hermite_tol)
-    report["hermite_routes"] = {"pairwise_max": routes.pairwise_max,
-                                "tolerance": hermite_tol, "passed": routes.passed}
-    all_ok = all_ok and routes.passed
+    if edges is None:
+        routes = hermite_route_consistency(targets["k_hermite"]["c"],
+                                           MultiIndex.of((2, 1)),
+                                           tolerance=hermite_tol)
+        report["hermite_routes"] = {"pairwise_max": routes.pairwise_max,
+                                    "tolerance": hermite_tol, "passed": routes.passed}
+        all_ok = all_ok and routes.passed
 
-    for form, kwargs in (("stirling", {}), ("gamma_ratio", {"a": 2, "b": 3, "c": 1}),
-                         ("gamma_sqrt_shift", {"x": 1, "y": 2, "z": 0})):
-        rep = stirling_ratio_check(form, decades, **kwargs)
-        report["gamma_asymptotics"][form] = {"slope": rep.slope,
-                                             "errors": list(rep.errors),
-                                             "passed": rep.passed}
-        all_ok = all_ok and rep.passed
+        report["gamma_asymptotics"] = {}
+        for form, kwargs in (("stirling", {}), ("gamma_ratio", {"a": 2, "b": 3, "c": 1}),
+                             ("gamma_sqrt_shift", {"x": 1, "y": 2, "z": 0})):
+            rep = stirling_ratio_check(form, decades, **kwargs)
+            report["gamma_asymptotics"][form] = {"slope": rep.slope,
+                                                 "errors": list(rep.errors),
+                                                 "passed": rep.passed}
+            all_ok = all_ok and rep.passed
 
     report["passed"] = all_ok
     return report

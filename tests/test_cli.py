@@ -129,6 +129,40 @@ def test_limits_subcommand_small():
     assert set(payload["edges"]) == {"k_c"}
 
 
+def test_limits_edges_runs_only_the_selection(monkeypatch, capsys):
+    from mopoly import verify
+    calls = []
+    real = verify.limit_edge
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "limit_edge", counted)
+    assert cli.run(["limits", "--edges", "k_c"]) == 0
+    assert calls == ["weight", "type2", "recurrence"]
+    payload = json.loads(capsys.readouterr().out)
+    assert set(payload["edges"]) == {"k_c"}
+    assert "hermite_routes" not in payload and "gamma_asymptotics" not in payload
+
+
+def test_exact_commands_load_no_float_library():
+    script = "\n".join([
+        "import sys",
+        "from mopoly import cli",
+        "flags = ['--family', 'charlier', '--a', '2,5/3']",
+        "for argv in (['eval', 'type2', *flags, '--n', '2,1'],",
+        "             ['recur', *flags, '--n', '2,1'],",
+        "             ['moments', *flags, '--i', '2', '--jmax', '6']):",
+        "    assert cli.run(argv) == 0",
+        "print(sorted(m for m in ('scipy', 'mpmath') if m in sys.modules))",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=CHILD_ENV)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def test_limits_rejects_unknown_edge(capsys):
     assert cli.run(["limits", "--edges", "k_c,bogus"]) == 2
     out, err = capsys.readouterr()

@@ -4,7 +4,9 @@ from fractions import Fraction as F
 import pytest
 
 from mopoly.errors import LowerParamPoleError, NonTerminatingError
-from mopoly.exact import HypSeriesSpec, eval_kampe_de_feriet, eval_pfq_terminating, pochhammer
+from mopoly.exact import eval_pfq_terminating, pochhammer
+
+from kampe_de_feriet import HypSeriesSpec, eval_kampe_de_feriet
 
 
 def test_upper_parameter_zero_gives_one():

@@ -6,7 +6,8 @@ from fractions import Fraction as F
 import pytest
 
 from mopoly.errors import InvalidShiftError, SingularSystemError
-from mopoly.exact import MultiIndex, Permutation, Poly, all_permutations, multi_indices
+from mopoly.exact import (MultiIndex, Permutation, Poly, all_permutations, multi_indices,
+                          step_sets)
 from mopoly.families import Charlier, Hahn, Kravchuk, MeixnerI, MeixnerII, type1, type2, weight
 from mopoly.families import closed_forms, recurrence
 from mopoly.families.params import FAMILY_NAMES
@@ -160,6 +161,28 @@ def test_oracle_context_uses_no_closed_form(monkeypatch):
         assert (context.type2(n), context.type1(n),
                 oracle_nnrc(params, n, perm, context=context)) == want
         assert context.type1((0, 0)) == [Poly.zero(), Poly.zero()]
+
+
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+def test_pairing_matches_fraction_sum(family):
+    # <x B_n, A_hat_m> = sum_i sum_r a_r sum_j b_j mu_i[j+1+r], summed in Fractions
+    rng = random.Random(17)
+    for p in (1, 2, 3):
+        params = draw_params(rng, family, p, 5)
+        context = OracleContext(params)
+        perm = Permutation.identity(p)
+        for n in multi_indices(p, 3):
+            b = context.type2(n).coeffs
+            neighbours = [n.add_unit(k) for k in range(1, p + 1)]
+            neighbours += [n.shifted([-v for v in s]) for s in
+                           (step_sets(perm, j)[0] for j in range(p))
+                           if n.can_shift([-v for v in s])]
+            for m in neighbours:
+                tables = context.moments(n.size + 1 + max(m.entries))
+                want = sum((a * sum((bj * mu[j + 1 + r] for j, bj in enumerate(b)), F(0))
+                            for mu, comp in zip(tables, context.type1(m))
+                            for r, a in enumerate(comp.coeffs)), F(0))
+                assert context._pairing(n, m) == want
 
 
 def test_oracle_context_rejects_other_params():

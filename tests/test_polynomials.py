@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mopoly.exact import NEG_INF, Poly, expand_in_monomials, lagrange_interpolate, pochhammer
 
@@ -87,3 +88,40 @@ def test_expand_groups_like_terms_exactly():
         direct = direct + basis_poly(spec) * F(coeff)
     assert expand_in_monomials(terms) == direct
     assert expand_in_monomials([(1, ("neg_x", 3)), (-1, ("neg_x", 3))]).is_zero()
+
+
+def fraction_expand(terms) -> Poly:
+    """The nested multiplication of ``expand_in_monomials`` in Fraction arithmetic."""
+    families = {}
+    for coeff, spec in terms:
+        coeffs = families.setdefault(spec[:-1], {})
+        coeffs[spec[-1]] = coeffs.get(spec[-1], 0) + F(coeff)
+    total = Poly.zero()
+    for family, coeffs in families.items():
+        shift, sign = (F(0), -1) if family == ("neg_x",) else (F(family[1]), 1)
+        acc = []
+        for l in range(max(coeffs), -1, -1):
+            nxt = [(shift + l) * c for c in acc] + [F(0)]
+            for k, c in enumerate(acc):
+                nxt[k + 1] += sign * c
+            nxt[0] += coeffs.get(l, 0)
+            acc = nxt
+        total = total + Poly(acc)
+    return total
+
+
+# large pairwise coprime denominators, so the integer path's lcms and powers
+# of the shift's denominator grow far beyond machine words
+_DENOMINATORS = (1, 2, 3, 2**31 - 1, 2**61 - 1, 10**9 + 7, 3**40, 5**27)
+_rationals = st.builds(F, st.integers(-10**30, 10**30), st.sampled_from(_DENOMINATORS))
+_specs = st.one_of(
+    st.tuples(st.just("neg_x"), st.integers(0, 7)),
+    st.tuples(st.just("shifted"),
+              st.one_of(st.sampled_from((F(1, 2**61 - 1), F(-7, 3**40))), _rationals),
+              st.integers(0, 7)))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(st.lists(st.tuples(_rationals, _specs), max_size=10))
+def test_expand_matches_fraction_nested_multiplication(terms):
+    assert expand_in_monomials(terms) == fraction_expand(terms)

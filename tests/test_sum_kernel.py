@@ -4,7 +4,7 @@
 Here they are checked against independent per-term sums: the printed type II
 coefficients summed over all l with fresh Pochhammer symbols (for Hahn,
 ``hahn_sum_coefficient``), and the per-term evaluators
-``eval_pfq_terminating`` and ``eval_kampe_de_feriet``.
+``eval_pfq_terminating`` and the test reference ``eval_kampe_de_feriet``.
 """
 
 import itertools
@@ -14,9 +14,7 @@ from fractions import Fraction as F
 import pytest
 
 from mopoly.exact import (
-    HypSeriesSpec,
     MultiIndex,
-    eval_kampe_de_feriet,
     eval_pfq_terminating,
     factorial,
     hahn_sum_coefficient,
@@ -27,6 +25,8 @@ from mopoly.exact.hypergeometric import chain_sum, term_table
 from mopoly.families import Charlier, Hahn, Kravchuk, MeixnerI, MeixnerII
 from mopoly.families.base import type1_sum
 from mopoly.sampling import draw_params
+
+from kampe_de_feriet import HypSeriesSpec, eval_kampe_de_feriet
 
 FAMILIES = ("hahn", "meixner2", "meixner1", "kravchuk", "charlier")
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from fractions import Fraction as F
 
 import pytest
 
@@ -51,6 +52,20 @@ def test_sweep_reports_perturbed_b0(monkeypatch):
 
 def test_sweep_reports_perturbed_bj(monkeypatch):
     report = _sweep_with_nnrc(monkeypatch, lambda b0, bj: (b0, [bj[0] + 1]))
+    assert _identity_mismatches(report) == [([1], 1)] * 4
+
+
+# a perturbation far below every denominator the sweep sees: the integer
+# residual must scale it in, not round it away
+TINY = F(1, 2**61 - 1)
+
+
+@pytest.mark.parametrize("perturb", [
+    lambda b0, bj: ([b0[0] + TINY], bj),
+    lambda b0, bj: (b0, [bj[0] + TINY]),
+], ids=["b0", "bj"])
+def test_sweep_reports_tiny_perturbation(monkeypatch, perturb):
+    report = _sweep_with_nnrc(monkeypatch, perturb)
     assert _identity_mismatches(report) == [([1], 1)] * 4
 
 
