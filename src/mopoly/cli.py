@@ -21,7 +21,7 @@ from .exact.rationals import rat, rat_to_str
 from .families.closed_forms import linear_form, type1, type2
 from .families.params import FAMILIES, FAMILY_NAMES, params_from_json
 from .families.recurrence import nnrc
-from .oracle.moments import normalized_moments, validate_closed_form
+from .oracle.moments import MAX_JMAX, normalized_moments, validate_closed_form
 from .sampling import SWEEPS
 
 EXIT_PASS, EXIT_FAIL, EXIT_BAD_INPUT = 0, 1, 2
@@ -239,7 +239,8 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p_m = sub.add_parser("moments", help="normalized power moments", parents=[shared])
     _add_family_flags(p_m)
     p_m.add_argument("--i", type=int, default=1)
-    p_m.add_argument("--jmax", type=int, default=10)
+    p_m.add_argument("--jmax", type=int, default=10,
+                     help=f"largest moment order, 0..{MAX_JMAX} (default: 10)")
     p_m.add_argument("--validate", action="store_true",
                      help="check closed forms against a truncated direct sum")
     p_m.set_defaults(fn=_cmd_moments)

@@ -11,6 +11,8 @@ import functools
 import math
 from fractions import Fraction
 
+from .rationals import over_lcm
+
 
 def pochhammer(x, n: int) -> Fraction:
     """Rising factorial (x)_n = x(x+1)...(x+n-1); (x)_0 = 1."""
@@ -58,6 +60,22 @@ def _stirling2_row(n: int) -> tuple[int, ...]:
     for m in range(1, n + 1):
         row = (0,) + tuple(k * row[k] + row[k - 1] for k in range(1, m)) + (1,)
     return row
+
+
+def stirling_transform(values) -> list[Fraction]:
+    """mu_j = sum_k S(j, k) values[k], j < len(values): factorial to power moments.
+
+    Runs in integers over the lcm of the denominators, so each mu_j costs one
+    Fraction.  Row j of S comes from row j - 1 by S(j, k) = k S(j-1, k) +
+    S(j-1, k-1) inside the loop: O(J^2) integer products in all.
+    """
+    d, ints = over_lcm(values)
+    out = []
+    row = [1]
+    for j in range(len(ints)):
+        out.append(Fraction(sum(s * f for s, f in zip(row, ints)), d))
+        row = [0] + [k * row[k] + row[k - 1] for k in range(1, j + 1)] + [row[j]]
+    return out
 
 
 def is_nonpositive_int(x) -> bool:

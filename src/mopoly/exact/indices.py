@@ -12,6 +12,7 @@ decremented after j - 1 steps.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -114,12 +115,14 @@ def all_permutations(p: int):
         yield Permutation(image)
 
 
+@functools.lru_cache(maxsize=256)
 def step_sets(perm: Permutation, j: int):
     """Step vector and index sets at stage j of the recurrence.
 
     Returns (s_j, S(pi, j), S_complement) where s_j = sum_{i<=j} e_{pi(i)},
     S(pi, j) = {i : j <= pi^{-1}(i)} and S_complement is its complement in
-    {1, ..., p}.  Stage j ranges over 0..p; s_0 is the zero vector.
+    {1, ..., p}.  Stage j ranges over 0..p; s_0 is the zero vector.  The
+    result depends on (perm, j) alone and is immutable, so it is cached.
     """
     p = perm.p
     if not 0 <= j <= p:

@@ -3,7 +3,8 @@
 Each family module defines one frozen parameter class that validates its
 parameters and carries the family's exact formulas as methods: ``weight(i,
 x)``, ``mass_token(i)``, ``moments(i, jmax)`` (by default the Stirling
-transform of ``factorial_moment(i, j)``), ``type2_coefficients(n)`` (c_L of
+transform of the factorial moments f_k = prod (a)_k arg^k, one ``term_table``
+from ``factorial_moment_ratios(i)`` = (upper, arg)), ``type2_coefficients(n)`` (c_L of
 B_n = sum_L c_L (-x)_L), ``weighted_pfq(n)`` (x -> B_n(x), Hahn and Meixner
 II only), ``type1(n, i)`` (for n_i >= 1), ``b0(n, k)`` and ``bj(n, j, S,
 Sc)`` (S the step set S(pi, j), Sc its complement).  The methods trust their
@@ -17,7 +18,7 @@ import dataclasses
 from fractions import Fraction
 
 from ..errors import ParameterError, SingularDenominatorError, UnsupportedRepresentationError
-from ..exact.combinatorics import stirling2
+from ..exact.combinatorics import stirling_transform
 from ..exact.hypergeometric import chain_sum, term_table
 from ..exact.polynomials import expand_in_monomials
 from ..exact.rationals import rat, rat_to_str
@@ -53,9 +54,8 @@ class Family:
         return out
 
     def moments(self, i: int, jmax: int) -> list[Fraction]:
-        facts = [self.factorial_moment(i, k) for k in range(jmax + 1)]
-        return [sum((stirling2(j, k) * facts[k] for k in range(j + 1)), Fraction(0))
-                for j in range(jmax + 1)]
+        upper, arg = self.factorial_moment_ratios(i)
+        return stirling_transform(term_table(upper, [], arg, jmax))
 
     def weighted_pfq(self, n):
         raise UnsupportedRepresentationError(

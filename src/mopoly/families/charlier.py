@@ -39,8 +39,8 @@ class Charlier(Family):
         # m_0 = e^{a_i}; exp_neg(a_i) * m_0 = 1
         return PrefactorToken.exp_neg(self.a[i - 1]), Fraction(1)
 
-    def factorial_moment(self, i: int, j: int) -> Fraction:
-        return self.a[i - 1] ** j
+    def factorial_moment_ratios(self, i: int):
+        return [], self.a[i - 1]
 
     def type2_coefficients(self, n) -> list[Fraction]:
         pref = math.prod((-ai) ** ni for ai, ni in zip(self.a, n))

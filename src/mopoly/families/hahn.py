@@ -2,7 +2,8 @@
 
     w_i(x) = (alpha_i+1)_x / x! * (beta+1)_{N-x} / (N-x)!   (rational mass)
 
-Moments are exact finite sums over the support; type I is a single sum in
+Moments are exact finite sums over the support, the weights built by term
+ratios and summed in integers over one denominator; type I is a single sum in
 the shifted basis (x + alpha_i + 1)_l.
 """
 
@@ -16,7 +17,7 @@ from fractions import Fraction
 from ..errors import ParameterError
 from ..exact.combinatorics import factorial, pochhammer
 from ..exact.hypergeometric import eval_pfq_terminating, term_table
-from ..exact.rationals import rat
+from ..exact.rationals import over_lcm, rat
 from .base import (Family, check_no_integer_diff, cross_product, div, expanded, nonzero, rat_tuple,
                    step_product, type2_chain)
 from .prefactors import PrefactorToken
@@ -53,16 +54,15 @@ class Hahn(Family):
         return PrefactorToken.one(), mass
 
     def moments(self, i: int, jmax: int) -> list[Fraction]:
-        mass = Fraction(0)
-        sums = [Fraction(0)] * (jmax + 1)
-        for x in range(self.N + 1):
-            w = self.weight(i, x)
-            mass += w
-            xp = Fraction(1)
-            for j in range(jmax + 1):
-                sums[j] += xp * w
-                xp *= x
-        return [s / mass for s in sums]
+        # w(x) / w(0) by term ratios; w(0) cancels in the normalization, and
+        # over their lcm the power sums S_j = sum_x x^j w(x) run in integers
+        ratios = term_table([self.alpha[i - 1] + 1, -self.N], [1, -self.beta - self.N], 1, self.N)
+        _, terms = over_lcm(ratios)
+        sums = []
+        for _ in range(jmax + 1):
+            sums.append(sum(terms))
+            terms = [t * x for x, t in enumerate(terms)]
+        return [Fraction(s, sums[0]) for s in sums]
 
     def type2_coefficients(self, n) -> list[Fraction]:
         alpha, beta, N = self.alpha, self.beta, self.N

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ..errors import ParameterError
-from ..exact.combinatorics import binomial, factorial, falling_factorial, pochhammer
+from ..exact.combinatorics import binomial, factorial, pochhammer
 from ..exact.hypergeometric import term_table
 from .base import Family, bj_sum, check_distinct, rat_tuple, type1_multiple, type2_chain
 from .prefactors import PrefactorToken
@@ -44,8 +44,9 @@ class Kravchuk(Family):
     def mass_token(self, i: int):
         return PrefactorToken.one(), Fraction(1)
 
-    def factorial_moment(self, i: int, j: int) -> Fraction:
-        return falling_factorial(self.N, j) * self.p_success[i - 1] ** j
+    def factorial_moment_ratios(self, i: int):
+        # (-N)_k (-pi)^k = N (N-1) ... (N-k+1) pi^k, zero from k = N + 1 on
+        return [-self.N], -self.p_success[i - 1]
 
     def type2_coefficients(self, n) -> list[Fraction]:
         ps, N = self.p_success, self.N

@@ -45,9 +45,9 @@ class MeixnerI(Family):
     def mass_token(self, i: int):
         return PrefactorToken.pow_one_minus_ci(i, self.c[i - 1], self.beta0), Fraction(1)
 
-    def factorial_moment(self, i: int, j: int) -> Fraction:
+    def factorial_moment_ratios(self, i: int):
         ci = self.c[i - 1]
-        return pochhammer(self.beta0, j) * (ci / (1 - ci)) ** j
+        return [self.beta0], ci / (1 - ci)
 
     def type2_coefficients(self, n) -> list[Fraction]:
         beta, cs = self.beta0, self.c

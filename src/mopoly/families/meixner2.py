@@ -47,9 +47,8 @@ class MeixnerII(Family):
         # m_0 = (1-c)^{-beta_i}, so (1-c)^{beta_i} * m_0 = 1
         return PrefactorToken.pow_one_minus_c(self.c, self.beta[i - 1]), Fraction(1)
 
-    def factorial_moment(self, i: int, j: int) -> Fraction:
-        c = self.c
-        return pochhammer(self.beta[i - 1], j) * (c / (1 - c)) ** j
+    def factorial_moment_ratios(self, i: int):
+        return [self.beta[i - 1]], self.c / (1 - self.c)
 
     def type2_coefficients(self, n) -> list[Fraction]:
         c, beta = self.c, self.beta

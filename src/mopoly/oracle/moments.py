@@ -2,10 +2,13 @@
 
 The normalized moments mu_j = (sum_x x^j w_i(x)) / m_0^{(i)} are rational for
 every family: the transcendental mass cancels in the normalization.  Each
-family computes them in its ``moments`` method.  ``normalized_moments``
-checks the component index and computes one table, uncached; the oracle keeps
-the tables of one parameter draw in its ``OracleContext``, so no moment state
-outlives the draw.  ``validate_closed_form`` rechecks the tables against a
+family computes them in its ``moments`` method, from the weights' own
+formulas: the Stirling transform of the factorial moments (one term-ratio
+table each), or for Hahn the power sums of the weights over the support, both
+in integers over one denominator.  ``normalized_moments`` checks the
+component index and the order bound and computes one table, uncached; the
+oracle keeps the tables of one parameter draw in its ``OracleContext``, so no
+moment state outlives the draw.  ``validate_closed_form`` rechecks the tables against a
 truncated brute-force sum in high-precision floats (the truncation point is
 driven by a tail bound).
 """
@@ -31,12 +34,17 @@ class MomentTable:
         return self.moments[j]
 
 
+# the largest table a caller may ask for: the cost grows as jmax^2 big-integer
+# products, under a second at 500
+MAX_JMAX = 500
+
+
 def normalized_moments(params: FamilyParams, i: int, jmax: int) -> MomentTable:
     """Exact table mu_0..mu_jmax for the i-th (1-based) weight component."""
     if not 1 <= i <= params.p:
         raise ParameterError(f"component index i = {i} is outside 1..{params.p}")
-    if jmax < 0:
-        raise ValueError("jmax must be >= 0")
+    if not 0 <= jmax <= MAX_JMAX:
+        raise ParameterError(f"jmax = {jmax} is outside 0..{MAX_JMAX}")
     return MomentTable(i, tuple(params.moments(i, jmax)))
 
 

@@ -2,12 +2,15 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
 from mopoly import cli
 from mopoly.errors import ParameterError
+from mopoly.families.params import Charlier, Kravchuk
+from mopoly.oracle.moments import normalized_moments
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -109,6 +112,26 @@ def test_moments_rejects_component_out_of_range(family, i, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "outside 1..2" in err
+
+
+@pytest.mark.parametrize("jmax", [-1, 501])
+def test_moments_rejects_jmax_out_of_range(jmax, capsys):
+    argv = ["moments", "--family", "charlier", "--a", "2", "--jmax", str(jmax)]
+    assert cli.run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "outside 0..500" in err
+    with pytest.raises(ParameterError):
+        normalized_moments(Charlier((2,)), 1, jmax)
+
+
+def test_moments_accepts_jmax_at_the_bound(capsys):
+    # Kravchuk with N = 2: mu_500 is a three-term power sum to compare against
+    params = Kravchuk((F(1, 3),), 2)
+    table = normalized_moments(params, 1, 500)
+    assert table[500] == sum(F(x) ** 500 * params.weight(1, x) for x in range(3))
+    assert cli.run(["moments", "--help"]) == 0
+    assert "0..500" in capsys.readouterr().out
 
 
 def test_invalid_input_exit_codes():

@@ -71,6 +71,17 @@ def test_stirling2_large_cold_row():
     assert combinatorics._stirling2_row.cache_info().maxsize is not None
 
 
+def test_stirling_transform_matches_term_sums():
+    from mopoly.exact.combinatorics import stirling_transform
+
+    rng = random.Random(3)
+    values = [F(rng.randrange(-9, 10), rng.randrange(1, 30)) for _ in range(25)] + [7, 0]
+    assert stirling_transform(values) == [
+        sum((stirling2(j, k) * values[k] for k in range(j + 1)), F(0))
+        for j in range(len(values))]
+    assert stirling_transform([]) == []
+
+
 def test_multi_index_basics():
     n = MultiIndex.of((2, 0, 1))
     assert n.size == 3 and n.p == 3
@@ -116,3 +127,8 @@ def test_step_vectors():
     assert full == frozenset({1, 2, 3, 4})
     s2, _, _ = step_sets(perm, 2)
     assert s2 == (0, 1, 0, 1)   # e_4 + e_2
+    # one bounded cache entry per (perm, j), shared by equal permutations
+    assert step_sets(Permutation.of((4, 2, 1, 3)), 2) is step_sets(perm, 2)
+    assert step_sets.cache_info().maxsize is not None
+    with pytest.raises(ValueError):
+        step_sets(perm, 5)
