@@ -1,123 +1,49 @@
 """Rodrigues-type parameter derivatives for the type I polynomials.
 
 The first-kind Meixner, Kravchuk and Charlier type I polynomials are
-(n_i - 1)-th derivatives of a weighted kernel with respect to the family
-parameter (c_i, the pole location t = pi_i/(1-pi_i), and a_i respectively).
-The derivative is computed exactly: the kernel lives in the ring
+(n_i - 1)-th derivatives of a weighted kernel K_x(v) with respect to the
+family parameter v (c_i, the pole location t = pi_i/(1-pi_i), and a_i
+respectively), taken at v = t_i and divided by (n_i - 1)!.  That quotient is
+the h^m Taylor coefficient of K_x(t_i + h), m = n_i - 1, so no derivative is
+formed: every factor of the kernel is a binomial series
 
-    { rational function R(v) over Q }  x  { fixed transcendental factor T(v) }
+    (a + h)^e = a^e (1 + h/a)^e = a^e sum_k (-e)_k / k! (-h/a)^k,
 
-with d/dv [R T] = (R' + R dlogT) T, where
+one ``term_table([-e], [1], -1/a, m)``, its constant a^e is collected into
+an exact scale, and the truncated series are multiplied.  The factors are
 
-    Charlier      T = e^{-v},        dlogT = -1,
-    Meixner I     T = (1-v)^gamma,   dlogT = -gamma / (1-v),
-    Kravchuk      T = 1              (purely rational).
+    all           v^x,                   a = t_i,        e = x,
+    all, j != i   (v - t_j)^{-n_j},      a = t_i - t_j,  e = -n_j,
+    Meixner I     (1-v)^gamma / (1-c_i)^gamma,
+                                         a = c_i - 1,    e = gamma = |n|+beta-2,
+    Kravchuk      (1+v)^{|n|-N-2},       a = 1 + t_i,    e = |n| - N - 2,
+    Charlier      e^{-v} / e^{-a_i} = e^{-h},  the series term_table([], [1], -1, m).
 
-The resulting values must coincide exactly with the hypergeometric closed
-forms.  Sign note: the printed Rodrigues corollaries carry the clockwise
-orientation of the source contour theorems and hence the opposite sign; this
-module uses the residue-theorem (counterclockwise) sign, which is the one the
-closed forms and the moment oracle confirm.
+The constant t_i^x of v^x cancels against the closed form's normalization,
+so x enters only through the series of (1 + h/t_i)^x.  The resulting values
+must coincide exactly with the hypergeometric closed forms.  Sign note: the
+printed Rodrigues corollaries carry the clockwise orientation of the source
+contour theorems and hence the opposite sign; this module uses the
+residue-theorem (counterclockwise) sign, which is the one the closed forms and
+the moment oracle confirm.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from ..errors import UnsupportedRepresentationError
 from ..exact.combinatorics import factorial, pochhammer
+from ..exact.hypergeometric import term_table
 from ..exact.indices import MultiIndex
 from ..exact.polynomials import Poly, lagrange_interpolate
 from ..families.params import FamilyParams
 from ..families.prefactors import PrefactoredPolynomial, PrefactorToken
 
 
-def _poly_gcd(a: Poly, b: Poly) -> Poly:
-    while not b.is_zero():
-        a, b = b, _poly_mod(a, b)
-    if a.is_zero():
-        return Poly.one()
-    return a * (1 / a.leading())
-
-
-def _poly_mod(a: Poly, b: Poly) -> Poly:
-    if b.is_zero():
-        raise ZeroDivisionError("polynomial modulo by zero")
-    r = a
-    while not r.is_zero() and r.degree >= b.degree:
-        shift = int(r.degree - b.degree)
-        factor = r.leading() / b.leading()
-        r = r - Poly([0] * shift + [factor]) * b
-    return r
-
-
-def _poly_divexact(a: Poly, b: Poly) -> Poly:
-    q = Poly.zero()
-    r = a
-    while not r.is_zero() and r.degree >= b.degree:
-        shift = int(r.degree - b.degree)
-        factor = r.leading() / b.leading()
-        t = Poly([0] * shift + [factor])
-        q = q + t
-        r = r - t * b
-    if not r.is_zero():
-        raise ValueError("inexact polynomial division")
-    return q
-
-
-@dataclass(frozen=True)
-class RationalFunc:
-    num: Poly
-    den: Poly
-
-    @staticmethod
-    def of(num: Poly, den: Poly | None = None) -> "RationalFunc":
-        den = den if den is not None else Poly.one()
-        g = _poly_gcd(num, den)
-        if g.degree > 0:
-            num = _poly_divexact(num, g)
-            den = _poly_divexact(den, g)
-        return RationalFunc(num, den)
-
-    def __add__(self, other: "RationalFunc") -> "RationalFunc":
-        return RationalFunc.of(self.num * other.den + other.num * self.den,
-                               self.den * other.den)
-
-    def __mul__(self, other: "RationalFunc") -> "RationalFunc":
-        return RationalFunc.of(self.num * other.num, self.den * other.den)
-
-    def derivative(self) -> "RationalFunc":
-        return RationalFunc.of(self.num.derivative() * self.den
-                               - self.num * self.den.derivative(),
-                               self.den * self.den)
-
-    def __call__(self, v) -> Fraction:
-        return self.num(v) / self.den(v)
-
-
-def _linear_power(root, sign: int, m: int) -> Poly:
-    """(sign*v + root)^m as a Poly in v."""
-    out = Poly.one()
-    base = Poly([root, sign])
-    for _ in range(m):
-        out = out * base
-    return out
-
-
-def _other_poles(den: Poly, points, n: MultiIndex, i: int) -> Poly:
-    """den * prod_{j != i} (v - t_j)^{n_j}."""
-    for j, (tj, m) in enumerate(zip(points, n), start=1):
-        if j != i:
-            den = den * _linear_power(-tj, 1, m)
-    return den
-
-
-def _derive(kernel: RationalFunc, dlog, times: int) -> RationalFunc:
-    for _ in range(times):
-        kernel = kernel.derivative() + kernel * dlog if dlog is not None \
-            else kernel.derivative()
-    return kernel
+def _binomial(a, e, m: int) -> list[Fraction]:
+    """Coefficients of h^0..h^m in (1 + h/a)^e = (a + h)^e / a^e."""
+    return term_table([-e], [1], -1 / Fraction(a), m)
 
 
 def rodrigues_type1(params: FamilyParams, n: MultiIndex, i: int) -> PrefactoredPolynomial:
@@ -129,20 +55,40 @@ def rodrigues_type1(params: FamilyParams, n: MultiIndex, i: int) -> PrefactoredP
     points x = 0..n_i-1 and re-verified on extra guard points.
     """
     n = MultiIndex.of(n)
-    if params.family not in _VALUES:
+    if params.family not in _KERNELS:
         raise UnsupportedRepresentationError(
             f"no Rodrigues-type formula implemented for family {params.family}")
     ni = n[i - 1]
     if ni < 1:
         return PrefactoredPolynomial(PrefactorToken.one(), Poly.zero())
     guard = 3
-    values = [_VALUES[params.family](params, n, i, x) for x in range(ni + guard)]
+    values = _values(params, n, i, ni + guard)
     poly = lagrange_interpolate(list(zip(range(ni), values[:ni])))
     for x in range(ni, ni + guard):
         if poly(x) != values[x]:
             raise AssertionError("Rodrigues values do not extend the interpolated "
                                  f"degree-{ni - 1} polynomial at x = {x}")
     return PrefactoredPolynomial(_TOKENS[params.family](params, n, i), poly)
+
+
+def _values(params, n: MultiIndex, i: int, count: int) -> list[Fraction]:
+    """The rational part of A^{(i)}(x) at x = 0..count-1: scale * [h^m] K_x(t_i + h)."""
+    m = n[i - 1] - 1
+    t, scale, factors = _KERNELS[params.family](params, n, i, m)
+    ti = t[i - 1]
+    for j, (tj, nj) in enumerate(zip(t, n), start=1):
+        if j != i and nj:
+            scale /= (ti - tj) ** nj
+            factors.append(_binomial(ti - tj, -nj, m))
+    # the x-independent factors, multiplied as series truncated after h^m
+    kernel = [Fraction(1)] + [Fraction(0)] * m
+    for series in factors:
+        kernel = [sum(kernel[k] * series[j - k] for k in range(j + 1)) for j in range(m + 1)]
+    out = []
+    for x in range(count):
+        series = _binomial(ti, x, m)
+        out.append(scale * sum(kernel[k] * series[m - k] for k in range(m + 1)))
+    return out
 
 
 _TOKENS = {
@@ -153,49 +99,37 @@ _TOKENS = {
 }
 
 
-# the exact value of the rational part of A^{(i)}(x) via the parameter derivative
-
-def _charlier_value(params, n: MultiIndex, i: int, x: int) -> Fraction:
-    a = params.a
-    ni = n[i - 1]
-    kernel = RationalFunc.of(_linear_power(Fraction(0), 1, x), _other_poles(Poly.one(), a, n, i))
-    dlog = RationalFunc.of(Poly.constant(-1))
-    r = _derive(kernel, dlog, ni - 1)
-    return r(a[i - 1]) / (factorial(ni - 1) * a[i - 1] ** x)
+# each family's kernel: the points t_j, the scale in front of [h^m] K_x, and
+# the series of its family-specific factor
 
 
-def _meixner1_value(params, n: MultiIndex, i: int, x: int) -> Fraction:
-    beta, cs = params.beta0, params.c
-    ni, size = n[i - 1], n.size
-    gamma = size + beta - 2
-    kernel = RationalFunc.of(_linear_power(Fraction(0), 1, x), _other_poles(Poly.one(), cs, n, i))
-    dlog = RationalFunc.of(Poly.constant(-gamma), Poly([1, -1]))  # -gamma/(1-v)
-    r = _derive(kernel, dlog, ni - 1)
+def _charlier_kernel(params, n: MultiIndex, i: int, m: int):
+    return params.a, Fraction(1), [term_table([], [1], -1, m)]    # e^{-h}
+
+
+def _meixner1_kernel(params, n: MultiIndex, i: int, m: int):
+    beta, cs, size = params.beta0, params.c, n.size
     ci = cs[i - 1]
-    front = Fraction(1)
-    for cj, m in zip(cs, n):
-        front *= (1 - cj) ** m
-    front /= factorial(ni - 1) * pochhammer(beta, size - 1) * ci**x
-    # (1-c_i)^{gamma} = (1-c_i)^{|n|-2} * (1-c_i)^{beta}; the token carries
-    # (1-c_i)^{beta+|n|-1}, leaving an exact factor (1-c_i)^{-1}
-    return front * r(ci) * (1 - ci) ** (size - 2) / (1 - ci) ** (size - 1)
+    scale = Fraction(1)
+    for cj, nj in zip(cs, n):
+        scale *= (1 - cj) ** nj
+    # the token carries (1-c_i)^{beta+|n|-1}, the kernel (1-c_i)^{gamma}: an
+    # exact factor (1-c_i)^{-1} is left over
+    scale /= pochhammer(beta, size - 1) * (1 - ci)
+    return cs, scale, [_binomial(ci - 1, size + beta - 2, m)]
 
 
-def _kravchuk_value(params, n: MultiIndex, i: int, x: int) -> Fraction:
-    # purely rational kernel (1+v)^{|n|-N-2} v^x / prod (v - t_j)^{n_j}
-    ps, N = params.p_success, params.N
-    ni, size = n[i - 1], n.size
+def _kravchuk_kernel(params, n: MultiIndex, i: int, m: int):
+    ps, N, size = params.p_success, params.N, n.size
     ts = [q / (1 - q) for q in ps]
-    den = _other_poles(_linear_power(Fraction(1), 1, N + 2 - size), ts, n, i)
-    kernel = RationalFunc.of(_linear_power(Fraction(0), 1, x), den)
-    r = _derive(kernel, None, ni - 1)
     qi = ps[i - 1]
-    front = Fraction(factorial(N - size + 1), factorial(N) * factorial(ni - 1))
-    for q, m in zip(ps, n):
-        front /= (1 - q) ** m
-    front /= qi**x * (1 - qi) ** (N - x)
-    return front * r(ts[i - 1])
+    # with 1 + t_i = 1/(1-q_i), the normalization 1/(q_i^x (1-q_i)^{N-x}) times
+    # the constants t_i^x (1+t_i)^{|n|-N-2} of the kernel is (1-q_i)^{2-|n|}
+    scale = Fraction(factorial(N - size + 1), factorial(N)) * (1 - qi) ** (2 - size)
+    for q, nj in zip(ps, n):
+        scale /= (1 - q) ** nj
+    return ts, scale, [_binomial(1 + ts[i - 1], size - N - 2, m)]
 
 
-_VALUES = {"charlier": _charlier_value, "meixner1": _meixner1_value,
-           "kravchuk": _kravchuk_value}
+_KERNELS = {"charlier": _charlier_kernel, "meixner1": _meixner1_kernel,
+            "kravchuk": _kravchuk_kernel}

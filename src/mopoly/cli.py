@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -195,8 +194,7 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
                     "exact-oracle verification")
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--seed", type=int, default=0)
-    shared.add_argument("--precision", choices=("double", "extended"),
-                        default=os.environ.get("MOPOLY_PRECISION", "double"))
+    shared.add_argument("--precision", choices=("double", "extended"), default="double")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", help="evaluate closed forms", parents=[shared])

@@ -41,10 +41,6 @@ class Poly:
     def x() -> "Poly":
         return Poly([0, 1])
 
-    @staticmethod
-    def constant(c) -> "Poly":
-        return Poly([c])
-
     @property
     def degree(self):
         """Exact degree; NEG_INF for the zero polynomial."""
@@ -107,9 +103,6 @@ class Poly:
 
     def __hash__(self):
         return hash(self.coeffs)
-
-    def derivative(self) -> "Poly":
-        return Poly([k * c for k, c in enumerate(self.coeffs)][1:])
 
     def __repr__(self):
         return f"Poly({[str(c) for c in self.coeffs]})"

@@ -34,7 +34,7 @@ from .analytic.limits import (
     stirling_ratio_check,
 )
 from .analytic.rodrigues import rodrigues_type1
-from .errors import InvalidShiftError, MopolyError
+from .errors import InvalidShiftError, MopolyError, ParameterError
 from .exact.indices import MultiIndex, Permutation, all_permutations, multi_indices
 from .exact.identities import IDENTITY_NAMES, verify_identity
 from .families.closed_forms import type1, type1_alt_equivalence, type2
@@ -79,6 +79,8 @@ def run_closed_vs_oracle(sweep: str = "standard", seed: int = 0,
                          families=FAMILY_NAMES,
                          checks=("type2", "type1", "recurrence")) -> dict:
     """Criteria 1-3: type II, type I and recurrence closed forms vs. the oracle."""
+    if not families:
+        raise ParameterError("the family list is empty: there is nothing to check")
     cfg = SWEEPS[sweep]
     checks = set(checks)
     rng = random.Random(seed)
@@ -184,6 +186,8 @@ def _identity_params(rng: random.Random, which: str) -> dict:
 
 def run_identity_suite(which="all", trials: int = 200, seed: int = 0) -> dict:
     """Criterion 5: the summation identities on seeded random rational tuples."""
+    if trials < 1:
+        raise ParameterError(f"trials = {trials} must be at least 1")
     names = IDENTITY_NAMES if which == "all" else (which,)
     rng = random.Random(seed)
     report = {"check": "identities", "trials": trials, "seed": seed, "results": {}}
@@ -206,6 +210,8 @@ def run_identity_suite(which="all", trials: int = 200, seed: int = 0) -> dict:
 def run_biorthogonality(seed: int = 0, n_max: int = 4, p_values=(1, 2),
                         families=FAMILY_NAMES) -> dict:
     """Criterion 4: the 0/1/0 pairing table for all |n|, |m| <= n_max."""
+    if n_max < 1:
+        raise ParameterError(f"n_max = {n_max} must be at least 1")
     rng = random.Random(seed)
     report = {"check": "biorthogonality", "seed": seed, "families": {}}
     all_ok = True
@@ -234,6 +240,8 @@ def run_biorthogonality(seed: int = 0, n_max: int = 4, p_values=(1, 2),
 
 def run_representation_equalities(seed: int = 0, n_max: int = 4) -> dict:
     """Criterion 6: weighted-pFq, alternative-form and Rodrigues equalities."""
+    if n_max < 1:
+        raise ParameterError(f"n_max = {n_max} must be at least 1")
     rng = random.Random(seed)
     report = {"check": "representations", "seed": seed, "results": {}}
 

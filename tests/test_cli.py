@@ -193,7 +193,7 @@ def test_limits_rejects_unknown_edge(capsys):
     assert "bogus" in err and "h_m2" in err and "l2_hermite" in err
 
 
-def test_config_file_defaults(tmp_path):
+def test_config_file_defaults(tmp_path, monkeypatch):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"family": "charlier", "a": "2", "n": "3"}))
     proc = run_cli("recur", "--config", str(cfg))
@@ -209,6 +209,30 @@ def test_config_file_defaults(tmp_path):
     proc = run_cli("recur", "--config", str(cfg))
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
+    # the config file, not the environment, sets the precision default
+    cfg.write_text(json.dumps({"precision": "extended"}))
+    argv, config = cli._split_config(["verify", "integrals", "--config", str(cfg)])
+    assert cli.build_parser(config).parse_args(argv).precision == "extended"
+    monkeypatch.setenv("MOPOLY_PRECISION", "extended")
+    assert cli.build_parser().parse_args(["verify", "integrals"]).precision == "double"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "identities", "--trials", "0"],
+    ["verify", "identities", "--trials", "-3"],
+    ["verify", "biorthogonality", "--n-max", "0"],
+    ["verify", "biorthogonality", "--n-max", "-1"],
+    ["verify", "rodrigues", "--n-max", "0"],
+    ["verify", "closed-vs-oracle", "--families"],
+    ["verify", "recurrence", "--families"],
+], ids=["trials-0", "trials-neg", "n-max-0", "n-max-neg", "rodrigues-n-max-0", "no-families",
+        "recurrence-no-families"])
+def test_verify_rejects_empty_sweeps(argv, capsys):
+    # a sweep that would check nothing is invalid input, not a pass
+    assert cli.run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "at least 1" in err or "family list is empty" in err
 
 
 def test_run_leaves_environment_unchanged(capsys):
