@@ -24,6 +24,12 @@ from .oracle.moments import MAX_JMAX, normalized_moments, validate_closed_form
 from .sampling import SWEEPS
 
 EXIT_PASS, EXIT_FAIL, EXIT_BAD_INPUT = 0, 1, 2
+# the largest |n| = n_1 + ... + n_p of eval and recur: each closed form at
+# |n| = 200 takes well under a second
+MAX_N_SIZE = 200
+# the largest --nodes of verify integrals: the double-precision suite at 4096
+# nodes takes about 10 s, and the cost grows linearly
+MAX_NODES = 4096
 
 
 def _rat_list(text: str):
@@ -86,13 +92,20 @@ def _json_default(value):
     raise TypeError(f"not JSON-serializable: {value!r}")
 
 
+def _multi_index(args) -> MultiIndex:
+    n = MultiIndex.of(_require(args.n, "--n"))
+    if n.size > MAX_N_SIZE:
+        raise ParameterError(f"|n| = {n.size} is above {MAX_N_SIZE}")
+    return n
+
+
 def _poly_coeffs(poly):
     return [rat_to_str(c) for c in poly.coeffs]
 
 
 def _cmd_eval(args) -> int:
     params = _build_params(args)
-    n = MultiIndex.of(_require(args.n, "--n"))
+    n = _multi_index(args)
     if args.what == "type2":
         poly = type2(params, n, args.representation)
         return _emit({"coeffs": _poly_coeffs(poly)},
@@ -114,7 +127,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_recur(args) -> int:
     params = _build_params(args)
-    n = MultiIndex.of(_require(args.n, "--n"))
+    n = _multi_index(args)
     perm = Permutation.of(args.perm) if args.perm else Permutation.identity(params.p)
     coeffs = nnrc(params, n, perm)
     payload = {"b0": [rat_to_str(v) for v in coeffs.b0],
@@ -143,6 +156,8 @@ def _cmd_verify(args) -> int:
                                              families=tuple(args.families),
                                              checks=("recurrence",))
     elif which == "integrals":
+        if args.nodes > MAX_NODES:
+            raise ParameterError(f"--nodes {args.nodes} is above {MAX_NODES}")
         report = verify.run_integral_suite(args.seed, nodes=args.nodes,
                                            precision=args.precision)
     elif which == "rodrigues":
@@ -200,7 +215,8 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate closed forms", parents=[shared])
     p_eval.add_argument("what", choices=("type2", "type1", "linear-form"))
     _add_family_flags(p_eval)
-    p_eval.add_argument("--n", type=_int_list)
+    p_eval.add_argument("--n", type=_int_list,
+                        help=f"multi-index n_1,..,n_p with |n| at most {MAX_N_SIZE}")
     p_eval.add_argument("--i", type=int, default=1)
     p_eval.add_argument("--x", type=int, default=0)
     p_eval.add_argument("--representation", default="coefficient_sum",
@@ -210,7 +226,8 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p_recur = sub.add_parser("recur", help="nearest-neighbor recurrence coefficients",
                              parents=[shared])
     _add_family_flags(p_recur)
-    p_recur.add_argument("--n", type=_int_list)
+    p_recur.add_argument("--n", type=_int_list,
+                         help=f"multi-index n_1,..,n_p with |n| at most {MAX_N_SIZE}")
     p_recur.add_argument("--perm", type=_int_list)
     p_recur.set_defaults(fn=_cmd_recur)
 
@@ -223,7 +240,9 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p_verify.add_argument("--which", default="all")
     p_verify.add_argument("--trials", type=int, default=200)
     p_verify.add_argument("--n-max", type=int, default=4)
-    p_verify.add_argument("--nodes", type=int, default=256)
+    p_verify.add_argument("--nodes", type=int, default=256,
+                          help=f"quadrature nodes of integrals, a power of two in "
+                               f"16..{MAX_NODES} (default: 256)")
     p_verify.set_defaults(fn=_cmd_verify)
 
     p_limits = sub.add_parser("limits", help="Askey-scheme limit convergence reports",

@@ -25,6 +25,18 @@ integers: each moment table, B_n and A_hat^{(i)}_m is held over the lcm of
 its denominators (``over_lcm``), and one Fraction is built per component.
 ``type2_residual_vanishes`` checks the type II recurrence by evaluation at
 integer nodes, which is exact, in integers over one denominator (see there).
+
+The 2p + 1 systems behind one ``oracle_nnrc`` (B_n, A_hat at n - s_{p-1},
+..., n - s_1, n and each A_hat_{n+e_k}) are leading blocks of one moment
+matrix G[j][(i, l)] = mu_i[j + l], j = 0..|n|, with its columns ordered along
+that step-line, so ``OracleContext._path`` solves them by one fraction-free
+elimination (``PathElimination``): the identity part of row |n| gives B_n,
+one back substitution on a leading block gives each A_hat on the path, and
+one bordered column each A_hat_{n+e_k}.  It runs only when every shift
+n - s_j is valid and two or more of those systems are still missing.  On an
+invalid shift or a zero path pivot it fills nothing, and the per-index
+``type2`` / ``type1`` solves run as alone, so results and errors are the same
+either way.
 """
 
 from __future__ import annotations
@@ -35,14 +47,14 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ..errors import InvalidShiftError
+from ..errors import InvalidShiftError, SingularSystemError
 from ..exact.indices import MultiIndex, Permutation, step_sets
 from ..exact.polynomials import Poly
 from ..exact.rationals import over_lcm
 from ..families.params import FamilyParams
 from ..families.recurrence import RecurrenceCoefficients, nnrc
 from ..families.closed_forms import type2
-from .linsolve import solve_exact
+from .linsolve import PathElimination, solve_exact
 
 
 def oracle_type2(params: FamilyParams, n: MultiIndex) -> Poly:
@@ -127,6 +139,53 @@ class OracleContext:
             self._type1[key] = comps
         return comps
 
+    def _path(self, n: MultiIndex, perm: Permutation) -> None:
+        """Solve B_n, A_hat_{n-s_j} (j < p) and every A_hat_{n+e_k} by one elimination.
+
+        The columns (i, l) of G[j][(i, l)] = mu_i[j + l], j = 0..|n|, are
+        ordered so that each prefix is a multi-index and the prefixes pass
+        n - s_{p-1}, ..., n - s_1, n: n - s_{p-1} component by component, then
+        e_{pi(p-1)}, ..., e_{pi(1)}.  Every system is then a leading block of G,
+        or G bordered by the column of (k, n_k) (see ``PathElimination``).
+        Runs only when every shift is valid and two or more of these systems
+        are missing; fills only missing ones, and nothing on a zero path pivot,
+        so ``type2`` and ``type1`` then solve (or raise) exactly as alone.
+        """
+        p = self.params.p
+        if n.p != p or perm.p != p:
+            return
+        downs = [tuple(a - b for a, b in zip(n, step_sets(perm, j)[0])) for j in range(p)]
+        if any(min(m) < 0 for m in downs):
+            return
+        ups = [n.add_unit(k).entries for k in range(1, p + 1)]
+        type1_missing = [m for m in (*downs, *ups) if m not in self._type1]
+        if (n.entries not in self._type2) + len(type1_missing) < 2:
+            return
+        size = n.size
+        cols = [(i, l) for i, mi in enumerate(downs[-1]) for l in range(mi)]
+        cols += [(perm(j) - 1, n[perm(j) - 1] - 1) for j in range(p - 1, 0, -1)]
+        tables = self.moments(size + max(n.entries))
+        try:
+            path = PathElimination([[tables[i][j + l] for i, l in cols] for j in range(size + 1)])
+            solved = {}
+            for m in type1_missing:
+                if m in downs:
+                    r = sum(m)
+                    order, sol = cols[:r], path.solve_leading(r) if r else []
+                else:
+                    k = ups.index(m)
+                    order = cols + [(k, n[k])]
+                    sol = path.solve_bordered(tables[k][n[k]:n[k] + size + 1])
+                coeffs = [[Fraction(0)] * mi for mi in m]
+                for (i, l), v in zip(order, sol):
+                    coeffs[i][l] = v
+                solved[m] = [Poly(c) for c in coeffs]
+        except SingularSystemError:
+            return
+        if n.entries not in self._type2:
+            self._type2[n.entries] = Poly(path.left_null(size))
+        self._type1.update(solved)
+
     def _pairing(self, n: MultiIndex, m: MultiIndex) -> Fraction:
         """<x B_n, A_hat_m> for a neighbour m of n, one with m_i <= n_i + 1.
 
@@ -179,6 +238,7 @@ def oracle_nnrc(params: FamilyParams, n: MultiIndex,
     if perm is None:
         perm = Permutation.identity(params.p)
     context = _own_context(params, context)
+    context._path(n, perm)
     b0 = tuple(context._pairing(n, n.add_unit(k)) for k in range(1, params.p + 1))
     bj = []
     for j in range(1, params.p + 1):

@@ -247,7 +247,7 @@ def run_representation_equalities(seed: int = 0, n_max: int = 4) -> dict:
 
     def sweep(p_values=(1, 2, 3)):
         for p in p_values:
-            for n in multi_indices(p, n_max if p < 3 else 3):
+            for n in multi_indices(p, n_max if p < 3 else min(n_max, 3)):
                 yield p, n
 
     weighted = {"checked": 0, "failures": []}

@@ -260,3 +260,67 @@ def test_scalar_flag_rejects_several_values(capsys):
             "--n", "1,1"]
     assert cli.run(argv) == 2
     assert "c takes one value for family 'meixner2'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, entries", [
+    (["eval", "type2", "--family", "charlier", "--a", "2"], 1),
+    (["eval", "type1", "--family", "charlier", "--a", "2"], 1),
+    (["eval", "linear-form", "--family", "charlier", "--a", "2"], 1),
+    (["recur", "--family", "charlier", "--a", "2"], 1),
+    (["recur", "--family", "charlier", "--a", "2,7/2"], 2),
+], ids=["type2", "type1", "linear-form", "recur", "recur-p2"])
+def test_n_is_bounded(argv, entries, capsys):
+    # |n| counts every entry: the bound and one past it, split over the entries
+    def n_of(size):
+        return ",".join(str(size // entries + (i < size % entries)) for i in range(entries))
+
+    at = cli.MAX_N_SIZE
+    assert cli.run([*argv, "--n", n_of(at)]) == 0
+    assert capsys.readouterr().out
+    assert cli.run([*argv, "--n", n_of(at + 1)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"|n| = {at + 1} is above {at}" in err
+
+
+def test_nodes_are_bounded(monkeypatch, capsys):
+    from mopoly import verify
+    seen = []
+
+    def suite(seed, nodes, precision):
+        seen.append(nodes)
+        return {"check": "integrals", "passed": True}
+
+    monkeypatch.setattr(verify, "run_integral_suite", suite)
+    assert cli.run(["verify", "integrals", "--nodes", str(cli.MAX_NODES)]) == 0
+    assert seen == [cli.MAX_NODES] and capsys.readouterr().out
+    for nodes in (cli.MAX_NODES + 1, 2 * cli.MAX_NODES):
+        assert cli.run(["verify", "integrals", "--nodes", str(nodes)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"--nodes {nodes} is above {cli.MAX_NODES}" in err
+    assert seen == [cli.MAX_NODES]
+    assert cli.run(["verify", "--help"]) == 0
+    assert f"16..{cli.MAX_NODES}" in capsys.readouterr().out
+
+
+def test_rodrigues_n_max_bounds_every_p(monkeypatch, capsys):
+    from mopoly import verify
+    sizes = []
+    real = verify.draw_params
+
+    def recording(rng, family, p, size, *args):
+        sizes.append(size)
+        return real(rng, family, p, size, *args)
+
+    monkeypatch.setattr(verify, "draw_params", recording)
+    assert cli.run(["verify", "rodrigues", "--n-max", "1"]) == 0
+    assert sizes and max(sizes) == 1
+    assert json.loads(capsys.readouterr().out)["results"]["rodrigues"]["checked"] == 18
+
+
+def test_rodrigues_default_report_is_pinned(capsys):
+    # the default --n-max 4 sweeps p = 3 to |n| <= 3, as before the bound
+    # honoured --n-max below 3
+    import hashlib
+    assert cli.run(["verify", "rodrigues"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "7933d007ff59135f8e52b50eb4136a94f355201f32b837f24166e86d4bea79a3"

@@ -220,13 +220,25 @@ def test_oracle_context_extends_moment_tables_on_demand(monkeypatch):
 def test_oracle_is_safe_across_threads():
     # four threads (more than cores) solve the same draws, each with fresh
     # contexts and through one context per draw that all of them share, while
-    # the interpreter switches between them every microsecond
+    # the interpreter switches between them every microsecond; at p = 2 and 3
+    # they share one context over several (n, perm), so the path eliminations
+    # of different step-lines fill overlapping keys concurrently
     draws = [(Charlier((F(k, 7),)), (2 + k % 5,)) for k in range(1, 150)]
     expected = [(oracle_type2(params, n), oracle_nnrc(params, n)) for params, n in draws]
     shared = [OracleContext(params) for params, _ in draws]
+    multi = [(params, n, perm)
+             for params in (Charlier((F(3, 2), F(17, 7), F(9, 4))),
+                            Hahn((F(2, 7), F(8, 7)), F(1, 3), 12))
+             for n in multi_indices(params.p, 4, min_size=2)
+             for perm in all_permutations(params.p)]
+    multi_expected = [_nnrc_or_none(params, n, perm) for params, n, perm in multi]
+    multi_shared = {params: OracleContext(params) for params, _, _ in multi}
     errors, results = [], {}
 
     def solve(k):
+        if k >= len(draws):
+            params, n, perm = multi[k - len(draws)]
+            return _nnrc_or_none(params, n, perm, context=multi_shared[params])
         params, n = draws[k]
         return (oracle_type2(params, n), oracle_nnrc(params, n),
                 shared[k].type2(n), oracle_nnrc(params, n, context=shared[k]))
@@ -240,7 +252,7 @@ def test_oracle_is_safe_across_threads():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        order = list(range(len(draws)))
+        order = list(range(len(draws) + len(multi)))
         threads = [threading.Thread(target=work, args=(name, order[::step]))
                    for name, step in (("up", 1), ("down", -1), ("up2", 1), ("down2", -1))]
         for t in threads:
@@ -252,7 +264,8 @@ def test_oracle_is_safe_across_threads():
     assert not any(t.is_alive() for t in threads)
     assert errors == []
     for name in ("up", "down", "up2", "down2"):
-        assert [results[name][k] for k in range(len(draws))] == [e + e for e in expected]
+        assert ([results[name][k] for k in range(len(order))]
+                == [e + e for e in expected] + multi_expected)
 
 
 def test_biorthogonality_three_cases():
